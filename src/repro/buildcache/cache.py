@@ -76,8 +76,8 @@ class CacheStats:
     """Hit/miss/eviction counters for one build.
 
     ``evictions`` counts entries dropped by the self-healing checks:
-    corrupt manifests, missing or truncated objects, hash mismatches,
-    unreadable files."""
+    corrupt manifests, half-present or truncated objects, hash
+    mismatches, unreadable files.  An edited dependency is a plain miss."""
 
     hits: int = 0
     misses: int = 0
@@ -164,8 +164,12 @@ class BuildCache:
             pdb_text = opath.read_text()
             meta = json.loads(meta_path.read_text())
         except FileNotFoundError:
-            # the manifest promised this object; a half-deleted entry is
-            # damage, not a routine miss
+            if not opath.exists() and not meta_path.exists():
+                # a dependency changed since the store: these inputs were
+                # never built, a plain miss (the re-store rewrites the
+                # manifest)
+                return None
+            # a half-present entry is damage, not a routine miss
             self._evict(mpath, opath, meta_path)
             return None
         except (OSError, ValueError):

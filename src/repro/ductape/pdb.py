@@ -29,10 +29,9 @@ from repro.pdbfmt.reader import parse_pdb
 from repro.pdbfmt.writer import write_pdb
 
 
-
 @dataclass
 class MergeStats:
-    """Outcome of one :meth:`PDB.merge` call."""
+    """Outcome of merging one input (:meth:`PdbMerger.add`)."""
 
     items_in: int = 0
     items_added: int = 0
@@ -41,6 +40,14 @@ class MergeStats:
     #: incoming *definition* items whose entity already had a different
     #: definition here — One-Definition-Rule conflicts (see ``odr_log``)
     odr_conflicts: int = 0
+
+    def __iadd__(self, other: "MergeStats") -> "MergeStats":
+        self.items_in += other.items_in
+        self.items_added += other.items_added
+        self.duplicates_eliminated += other.duplicates_eliminated
+        self.duplicate_instantiations += other.duplicate_instantiations
+        self.odr_conflicts += other.odr_conflicts
+        return self
 
 
 class PDB:
@@ -202,72 +209,162 @@ class PDB:
     def merge(self, other: "PDB", odr_log: Optional[list] = None) -> MergeStats:
         """Merge ``other`` into this PDB, eliminating duplicate items —
         in particular duplicate template instantiations from separate
-        compilations (paper Table 2, pdbmerge).
+        compilations (paper Table 2, pdbmerge).  The two-input case of
+        :class:`PdbMerger`; see there for the ODR bookkeeping and
+        ``odr_log``."""
+        stats = PdbMerger(self.doc).add(other.doc, odr_log)
+        self._reindex()
+        return stats
 
-        One-Definition-Rule bookkeeping rides along: an incoming
-        *definition* item (a routine with a body, a located class) whose
-        entity already has a *different* definition here bumps
-        ``odr_conflicts``; pass ``odr_log`` (a list) to also collect one
-        detail dict per conflict (``pdbmerge --check`` prints these).
-        """
-        stats = MergeStats(items_in=len(other.doc.items))
-        self_index = self.doc.index()
-        other_index = other.doc.index()
-        self_keys: dict[tuple, RawItem] = {}
-        self_odr: dict[tuple, RawItem] = {}
+
+class _RefIndex(dict):
+    """``ref -> item`` index whose :meth:`get` notes refs it lacks.
+
+    An identity key computed while a ref dangled can change once an item
+    with that ref joins the merge, so :class:`PdbMerger` re-keys the
+    items whose keys saw a miss."""
+
+    missed = False
+
+    def get(self, ref, default=None):
+        item = dict.get(self, ref, default)
+        if item is None:
+            self.missed = True
+        return item
+
+
+class PdbMerger:
+    """Single-pass k-way merge: appends inputs, in order, to ``doc``.
+
+    ``doc`` is kept verbatim, duplicates included (for those, the last
+    item holding a key is the one later inputs merge into).  Each
+    :meth:`add` keys the incoming items once, against the input's own
+    index, probes one global ``key -> item`` table, appends clones of the
+    new items under running per-prefix ids, and rewrites their ref words
+    in one pass; a later duplicate of an item of the same input merges
+    into the first.  Identity keys depend only on names (kind, parent
+    name, signature name, file name + position), and a rewritten ref
+    names an item with the same prefix and name, so an appended item
+    keeps its key: the result is byte-identical to folding the inputs
+    left to right with pairwise merges, which re-key the whole
+    accumulator for every input.  The one exception is an item whose key
+    saw a ref that resolves nowhere; those are re-keyed before every
+    input, and the tables rebuilt if any key moved.
+
+    One-Definition-Rule bookkeeping rides along: an incoming
+    *definition* item (a routine with a body, a located class) whose
+    entity already has a *different* definition bumps ``odr_conflicts``;
+    pass ``odr_log`` (a list) to also collect one detail dict per
+    conflict (``pdbmerge --check`` prints these).  Existing items are
+    never mutated, so an input stays unmodified.
+    """
+
+    def __init__(self, doc: PdbDocument):
+        self.doc = doc
+        self._index = _RefIndex((raw.ref, raw) for raw in doc.items)
+        self._counters: dict[str, int] = {}
+        for raw in doc.items:
+            if raw.id > self._counters.get(raw.prefix, 0):
+                self._counters[raw.prefix] = raw.id
+        self._key_all()
+
+    def _key_all(self) -> None:
+        """Key every item of ``doc`` against the merged index."""
+        index = self._index
+        self._keys: dict[tuple, RawItem] = {}
+        self._odr: dict[tuple, RawItem] = {}
+        #: (item, (key, odr key)) for the items whose keys saw a miss
+        self._dangling: list[tuple] = []
         for raw in self.doc.items:
-            self_keys[_item_key(self_index, raw)] = raw
-            okey = _odr_key(self_index, raw)
+            index.missed = False
+            key = _item_key(index, raw)
+            okey = _odr_key(index, raw)
+            self._keys[key] = raw
             if okey is not None:
-                self_odr.setdefault(okey, raw)
+                self._odr.setdefault(okey, raw)
+            if index.missed:
+                self._dangling.append((raw, (key, okey)))
+
+    def _rekey(self) -> None:
+        """Re-key the items whose keys saw a dangling ref; if any key
+        moved, rebuild the tables as the fold's re-keying would."""
+        index = self._index
+        moved = False
+        still = []
+        for raw, keys in self._dangling:
+            index.missed = False
+            now = (_item_key(index, raw), _odr_key(index, raw))
+            moved = moved or now != keys
+            if index.missed:
+                still.append((raw, now))
+        if moved:
+            self._key_all()
+        else:
+            self._dangling = still
+
+    def add(self, other: PdbDocument, odr_log: Optional[list] = None) -> MergeStats:
+        """Append ``other``'s new items to ``doc``; returns its stats."""
+        if self._dangling:
+            self._rekey()
+        stats = MergeStats(items_in=len(other.items))
+        index = _RefIndex((raw.ref, raw) for raw in other.items)
+        keys = self._keys
+        odr = self._odr
+        counters = self._counters
         remap: dict[str, str] = {}
-        counters: dict[str, int] = {}
-        for raw in self.doc.items:
-            counters[raw.prefix] = max(counters.get(raw.prefix, 0), raw.id)
-        pending: list[RawItem] = []
-        for raw in other.doc.items:
-            key = _item_key(other_index, raw)
-            existing = self_keys.get(key)
+        pending: list[tuple] = []
+        for raw in other.items:
+            index.missed = False
+            key = _item_key(index, raw)
+            existing = keys.get(key)
             if existing is not None:
                 remap[str(raw.ref)] = str(existing.ref)
                 stats.duplicates_eliminated += 1
                 if raw.prefix in ("cl", "ro") and raw.get("ctempl" if raw.prefix == "cl" else "rtempl"):
                     stats.duplicate_instantiations += 1
                 continue
-            okey = _odr_key(other_index, raw)
+            okey = _odr_key(index, raw)
+            missed = index.missed
             if okey is not None:
-                prior = self_odr.get(okey)
+                prior = odr.get(okey)
                 if prior is not None:
                     stats.odr_conflicts += 1
                     if odr_log is not None:
+                        # as in the fold, a ``prior`` from ``other``
+                        # itself still holds input-local refs here
                         odr_log.append(
                             {
                                 "kind": "routine" if raw.prefix == "ro" else "class",
                                 "name": okey[1],
-                                "existing": _loc_str(self_index, prior),
-                                "incoming": _loc_str(other_index, raw),
+                                "existing": _loc_str(self._index, prior),
+                                "incoming": _loc_str(index, raw),
                             }
                         )
                 else:
-                    self_odr[okey] = raw
+                    odr[okey] = raw
             counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
             clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
             for a in raw.attributes:
                 clone.attributes.append(a.clone())
             remap[str(raw.ref)] = str(clone.ref)
-            pending.append(clone)
-            self_keys[key] = clone
+            pending.append((raw, clone, key, okey, missed))
+            keys[key] = clone
             stats.items_added += 1
         # remap keys are exactly the ``prefix#id`` spellings of incoming
-        # refs, so a plain dict probe replaces the old per-word
-        # ref-shaped regex test: any word that could hit a key *is* a
-        # ref spelling, and every other word misses and passes through
+        # refs, so a plain dict probe rewrites every ref word and passes
+        # every other word through
         remap_get = remap.get
-        for clone in pending:
+        merged_index = self._index
+        items = self.doc.items
+        for raw, clone, key, okey, missed in pending:
             for a in clone.attributes:
                 a.words = [remap_get(w, w) for w in a.words]
-            self.doc.items.append(clone)
-        self._reindex()
+            items.append(clone)
+            merged_index[clone.ref] = clone
+            if okey is not None and odr[okey] is raw:
+                odr[okey] = clone
+            if missed:
+                self._dangling.append((clone, (key, okey)))
         return stats
 
 

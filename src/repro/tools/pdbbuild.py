@@ -85,7 +85,7 @@ from repro.pdbfmt.writer import write_pdb
 CACHE_FORMAT = "pdbbuild-cache/2"
 
 #: schema tag emitted in --stats-json reports
-STATS_SCHEMA = "pdbbuild-stats/5"
+STATS_SCHEMA = "pdbbuild-stats/6"
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,6 @@ class BuildStats:
     failures: list[TUFailure] = field(default_factory=list)
     merge: MergeStats = field(default_factory=MergeStats)
     merge_wall_s: float = 0.0
-    #: reduction rounds of the pairwise tree merge (0 = fold shape)
-    merge_tree_depth: int = 0
     #: frontend header-cache activity summed over every compiled TU
     #: (cache-hit TUs never run the frontend, so they contribute zero)
     hc_hits: int = 0
@@ -218,10 +216,10 @@ class BuildStats:
     trace_counters: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The --stats-json document (schema: ``pdbbuild-stats/5``).
+        """The --stats-json document (schema: ``pdbbuild-stats/6``).
 
-        ``/5`` keeps every ``/4`` field and adds the ``header_cache``
-        section plus ``merge.tree_depth`` (see docs/FORMAT.md)."""
+        ``/6`` is ``/5`` without ``merge.tree_depth`` (see
+        docs/FORMAT.md)."""
         d = {
             "schema": STATS_SCHEMA,
             "jobs": self.jobs,
@@ -239,11 +237,7 @@ class BuildStats:
             },
             "tus": [asdict(t) for t in self.tus],
             "failures": [asdict(f) for f in self.failures],
-            "merge": {
-                "wall_s": self.merge_wall_s,
-                "tree_depth": self.merge_tree_depth,
-                **asdict(self.merge),
-            },
+            "merge": {"wall_s": self.merge_wall_s, **asdict(self.merge)},
             "output_items": self.output_items,
             "warnings": self.warnings,
             "errors": self.errors,
@@ -368,6 +362,12 @@ def _compile_tu(
         if not diags:
             diags = [str(exc)]
         raise TUCompileError(source, exc.message, tuple(diags)) from exc
+    except RecursionError as exc:
+        # nesting deeper than the recursive-descent parser's stack (e.g.
+        # a hundred nested parentheses): this TU alone fails
+        raise TUCompileError(
+            source, "nesting too deep to compile (interpreter recursion limit reached)"
+        ) from exc
     errors: list[str] = []
     if fe.last_sink is not None:
         errors = fe.last_sink.render_errors()
@@ -690,9 +690,7 @@ def _build(
         texts = [
             outputs[i].pdb_text for i in range(len(sources)) if i not in failures
         ]
-        # pairwise reduction tree; byte-identical to the serial fold,
-        # with the fold's aggregate MergeStats recovered analytically
-        merged, stats.merge, stats.merge_tree_depth = merge_pdb_texts_tree(texts)
+        merged, stats.merge, _passes = merge_pdb_texts_tree(texts)
     stats.merge_wall_s = time.perf_counter() - tm
     stats.output_items = len(merged.doc.items)
 

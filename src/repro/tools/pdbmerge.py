@@ -2,18 +2,14 @@
 eliminating duplicate template instantiations in the process (paper
 Table 2).
 
-Two merge strategies produce byte-identical output:
-
-* :func:`merge_pdbs` — the reference serial left fold, with per-fold
-  :class:`MergeStats` and optional ODR conflict logging;
-* :func:`merge_pdbs_tree` / :func:`merge_pdb_texts_tree` — a pairwise
-  reduction tree.  Deduplication keys, insertion order, and per-prefix
-  id counters all compose under pairwise reduction exactly as under the
-  left fold, so the merged document is identical; the aggregate
-  MergeStats the serial fold would have produced are recovered
-  analytically from the base document, the final document, and the
-  per-input item counts (per-fold attribution does not survive a tree,
-  so ``odr_log`` is a serial-only feature).
+One algorithm does it, :class:`repro.ductape.pdb.PdbMerger`: a single
+pass over the inputs in order that keys each input's items once,
+probes one global ``key -> item`` table, appends the new items under
+running per-prefix ids and rewrites their refs.  The result is
+byte-identical to folding the inputs left to right with pairwise
+merges, with the same per-input :class:`MergeStats` and ODR log.
+:func:`merge_pdbs` merges parsed databases; :func:`merge_pdb_texts_tree`
+merges PDB texts, parsing each as the pass reaches it.
 """
 
 from __future__ import annotations
@@ -21,218 +17,47 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
-from repro.ductape.pdb import PDB, MergeStats, _odr_key
-from repro.pdbfmt.items import PdbDocument, RawItem
+from repro.ductape.pdb import PDB, MergeStats, PdbMerger
+from repro.pdbfmt.items import PdbDocument
 from repro.pdbfmt.reader import parse_pdb
-
-
-def _clone(pdb: PDB) -> PDB:
-    """Deep-copy a PDB (same ids, names, attribute order — identical text)."""
-    doc = PdbDocument(version=pdb.doc.version)
-    for raw in pdb.doc.items:
-        item = RawItem(prefix=raw.prefix, id=raw.id, name=raw.name)
-        for a in raw.attributes:
-            item.attributes.append(a.clone())
-        doc.items.append(item)
-    return PDB(doc)
 
 
 def merge_pdbs(
     pdbs: list[PDB], odr_log: Optional[list] = None
 ) -> tuple[PDB, list[MergeStats]]:
-    """Fold a list of PDBs left-to-right into one *fresh* merged PDB.
+    """Merge a list of PDBs, in order, into one *fresh* merged PDB.
 
-    The inputs are never modified — the first PDB is deep-copied before
-    the others are folded in — so callers can keep reusing them (the
-    pdbbuild cache hands out the same parsed per-TU PDBs repeatedly).
-    Pass ``odr_log`` (a list) to collect One-Definition-Rule conflict
-    details across all the folds (``--check``).
+    Returns the merged PDB and one :class:`MergeStats` per input after
+    the first.  The inputs are never modified, so callers can keep
+    reusing them (the merged PDB shares the first input's items, which
+    merging never mutates).  Pass ``odr_log`` (a list) to collect
+    One-Definition-Rule conflict details across all inputs
+    (``--check``).
     """
     if not pdbs:
         return PDB(), []
-    base = _clone(pdbs[0])
-    stats: list[MergeStats] = []
-    for other in pdbs[1:]:
-        stats.append(base.merge(other, odr_log=odr_log))
-    return base, stats
+    first = pdbs[0].doc
+    merger = PdbMerger(PdbDocument(version=first.version, items=list(first.items)))
+    stats = [merger.add(p.doc, odr_log) for p in pdbs[1:]]
+    return PDB(merger.doc), stats
 
 
-# -- tree reduction ----------------------------------------------------------
+def merge_pdb_texts_tree(texts: list[str]) -> tuple[PDB, MergeStats, int]:
+    """Merge PDB *texts* in order; the entry point ``pdbbuild`` calls.
 
-
-def _templ_count(doc: PdbDocument) -> int:
-    """Items that are template instantiations (``ctempl``/``rtempl``)."""
-    n = 0
-    for raw in doc.items:
-        if raw.prefix == "cl":
-            if raw.get("ctempl") is not None:
-                n += 1
-        elif raw.prefix == "ro":
-            if raw.get("rtempl") is not None:
-                n += 1
-    return n
-
-
-def _odr_multiset(doc: PdbDocument) -> dict:
-    """ODR key -> number of definition items carrying it."""
-    index = doc.index()
-    counts: dict = {}
-    for raw in doc.items:
-        key = _odr_key(index, raw)
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _fold_equivalent_stats(
-    base_doc: PdbDocument, final_doc: PdbDocument, items_in: int, templ_in: int
-) -> MergeStats:
-    """The aggregate MergeStats the serial left fold would have summed.
-
-    Every incoming item is either added (present in the final document)
-    or eliminated, so the aggregates follow from endpoint counts:
-
-    * ``items_added``    = final items − base items
-    * ``duplicates_eliminated`` = incoming − added, and likewise for
-      ``duplicate_instantiations`` restricted to ``ctempl``/``rtempl``
-      carriers (clones preserve attributes, so the counts line up);
-    * ``odr_conflicts``: for an ODR key with ``b`` definitions in the
-      base and ``m`` in the final document, the fold counted every
-      added definition beyond the first known one: ``m − max(b, 1)``.
-    """
-    base_items = len(base_doc.items)
-    final_items = len(final_doc.items)
-    added = final_items - base_items
-    templ_added = _templ_count(final_doc) - _templ_count(base_doc)
-    base_odr = _odr_multiset(base_doc)
-    odr_conflicts = 0
-    for key, m in _odr_multiset(final_doc).items():
-        known = base_odr.get(key, 0)
-        if known < 1:
-            known = 1
-        if m > known:
-            odr_conflicts += m - known
-    return MergeStats(
-        items_in=items_in,
-        items_added=added,
-        duplicates_eliminated=items_in - added,
-        duplicate_instantiations=templ_in - templ_added,
-        odr_conflicts=odr_conflicts,
-    )
-
-
-#: below this many inputs the reduction keeps the fold shape — a
-#: pairwise tree repeats key computation and item cloning on its
-#: intermediate documents, which only pays for itself once the fold's
-#: quadratic accumulator re-scans dominate (measured crossover ~8 TUs)
-TREE_MIN_FANIN = 8
-
-
-def merge_pdbs_tree(
-    pdbs: list[PDB], min_fanin: int = TREE_MIN_FANIN
-) -> tuple[PDB, MergeStats, int]:
-    """Merge by pairwise reduction, in-process.
-
-    Returns ``(merged, stats, depth)`` where ``merged`` is byte-identical
-    to ``merge_pdbs(pdbs)[0]``, ``stats`` is the serial-equivalent
-    aggregate, and ``depth`` is the number of reduction rounds.  The
-    inputs are never modified, but the result may alias items of
-    ``pdbs[0]`` — treat the inputs as frozen afterwards.  O(N log N)
-    pair merges replace the fold's O(N²) re-scans of the growing
-    accumulator; merging is order-sensitive (ids are assigned in
-    insertion order) but associative, so any contiguous grouping gives
-    the same bytes.  Below ``min_fanin`` inputs the grouping
-    degenerates to the fold itself, where the tree's re-processing of
-    intermediates would cost more than it saves (pass ``min_fanin=2``
-    to force the pairwise shape, e.g. for equivalence tests).
-    """
-    if not pdbs:
+    Returns ``(merged, stats, passes)``: ``stats`` sums the per-input
+    :class:`MergeStats`, and ``passes`` is 1 when two or more inputs
+    were merged, else 0.  The name and the 3-tuple outlive the pairwise
+    tree merge this once ran: the benchmark's traced run
+    (``perfbench/shims.py``) wraps this function, and the
+    ``parse_pdb`` it calls, by name."""
+    if not texts:
         return PDB(), MergeStats(), 0
-    if len(pdbs) == 1:
-        return _clone(pdbs[0]), MergeStats(), 0
-    if len(pdbs) < min_fanin:
-        merged, per_fold = merge_pdbs(pdbs)
-        stats = MergeStats()
-        for st in per_fold:
-            stats.items_in += st.items_in
-            stats.items_added += st.items_added
-            stats.duplicates_eliminated += st.duplicates_eliminated
-            stats.duplicate_instantiations += st.duplicate_instantiations
-            stats.odr_conflicts += st.odr_conflicts
-        return merged, stats, len(pdbs) - 1
-    items_in = sum(len(p.doc.items) for p in pdbs[1:])
-    templ_in = sum(_templ_count(p.doc) for p in pdbs[1:])
-    level = list(pdbs)
-    owned = [False] * len(level)  # True once an element is our private clone
-    depth = 0
-    while len(level) > 1:
-        next_level = []
-        next_owned = []
-        for i in range(0, len(level) - 1, 2):
-            if owned[i]:
-                left = level[i]
-            else:
-                # merge only ever *appends* to the base document — existing
-                # items are never mutated — so guarding an input needs just
-                # a fresh items list, not the deep copy the serial fold
-                # makes (the result therefore aliases items of pdbs[0];
-                # inputs must be treated as frozen afterwards)
-                src = level[i].doc
-                left = PDB(PdbDocument(version=src.version, items=list(src.items)))
-            left.merge(level[i + 1])
-            next_level.append(left)
-            next_owned.append(True)
-        if len(level) % 2:
-            next_level.append(level[-1])
-            next_owned.append(owned[-1])
-        level, owned = next_level, next_owned
-        depth += 1
-    merged = level[0]
-    stats = _fold_equivalent_stats(pdbs[0].doc, merged.doc, items_in, templ_in)
-    return merged, stats, depth
-
-
-def _pair_merge_text(left_text: str, right_text: str) -> str:
-    """Process-pool task: merge two PDB texts into one."""
-    left = PDB.from_text(left_text)
-    left.merge(PDB.from_text(right_text))
-    return left.to_text()
-
-
-def merge_pdb_texts_tree(
-    texts: list[str], pool=None, min_fanin: int = TREE_MIN_FANIN
-) -> tuple[PDB, MergeStats, int]:
-    """Tree merge over PDB *texts*, optionally on a process pool.
-
-    With a pool, each reduction round ships its pairs to workers (parse,
-    merge, re-render per pair); that round trip re-parses every
-    intermediate document, so it only pays when pair-merge cost
-    dominates parse+render — for typical PDB sizes the in-process
-    reduction is faster, which is why ``pdbbuild`` passes ``pool=None``
-    and the pooled path is opt-in.  Without a pool this parses every
-    text once and reduces in-process."""
-    if pool is None or len(texts) < max(4, min_fanin):
-        return merge_pdbs_tree([PDB.from_text(t) for t in texts], min_fanin=min_fanin)
-    base_doc = parse_pdb(texts[0])
-    items_in = 0
-    templ_in = 0
-    for t in texts[1:]:
-        doc = parse_pdb(t)
-        items_in += len(doc.items)
-        templ_in += _templ_count(doc)
-    level = list(texts)
-    depth = 0
-    while len(level) > 1:
-        lefts = level[0:-1:2]
-        rights = level[1::2]
-        next_level = list(pool.map(_pair_merge_text, lefts, rights))
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-        depth += 1
-    merged = PDB.from_text(level[0])
-    stats = _fold_equivalent_stats(base_doc, merged.doc, items_in, templ_in)
-    return merged, stats, depth
+    merger = PdbMerger(parse_pdb(texts[0]))
+    total = MergeStats()
+    for text in texts[1:]:
+        total += merger.add(parse_pdb(text))
+    return PDB(merger.doc), total, 1 if len(texts) > 1 else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -551,15 +551,15 @@ class TestPdbbuildCheck:
         span_names = {s.name for s in stats.trace_spans}
         assert {f"check.{c.name}" for c in all_checks()} <= span_names
 
-    def test_stats_schema_v5_carries_check_section(self):
+    def test_stats_schema_v6_carries_check_section(self):
         from repro.tools.pdbbuild import STATS_SCHEMA, BuildOptions, build
 
-        assert STATS_SCHEMA == "pdbbuild-stats/5"
+        assert STATS_SCHEMA == "pdbbuild-stats/6"
         _merged, stats = build(
             list(DEFECT_SOURCES), BuildOptions(), files=defect_files(), checks="odr"
         )
         d = stats.to_dict()
-        assert d["schema"] == "pdbbuild-stats/5"
+        assert d["schema"] == "pdbbuild-stats/6"
         assert d["check"]["selection"] == "odr"
         assert d["check"]["findings"] == 4
         assert d["merge"]["odr_conflicts"] == EXPECTED_ODR_CONFLICTS

@@ -1,0 +1,218 @@
+"""Differential test: the single-pass merge against the left fold.
+
+Random corpora of small per-TU databases, drawn from tight name, file
+and line pools so that items collide often: duplicates inside the first
+input and inside later ones, ODR conflicts (one routine or class defined
+at two places), ``ferr`` records, template instantiations
+(``ctempl``/``rtempl``), and refs that do not resolve inside their own
+input (some of which resolve once the merge has grown).  Every entry
+point must give the fold's bytes, per-input :class:`MergeStats` and ODR
+log, and leave its inputs unmodified.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.ductape.pdb import PDB, MergeStats
+from repro.pdbfmt.items import PdbDocument, RawItem
+from repro.pdbfmt.reader import parse_pdb
+from repro.pdbfmt.writer import write_pdb
+from repro.tools.pdbmerge import merge_pdb_texts_tree, merge_pdbs
+
+from tests.merge_oracle import fold
+
+FILES = ("a.h", "b.h", "t.cpp")
+NAMES = {
+    "na": ("std", "ns"),
+    "ty": ("int", "T", "Box<int>"),
+    "cl": ("Box", "Box<int>", "W"),
+    "ro": ("f", "g", "get"),
+    "te": ("Box", "sum"),
+    "ma": ("N", "M"),
+}
+
+
+@st.composite
+def documents(draw) -> PdbDocument:
+    """One per-TU database over the shared pools."""
+    doc = PdbDocument()
+    next_id: dict[str, int] = {}
+
+    def new(prefix: str, name: str) -> RawItem:
+        # ids rise within a prefix, from a drawn start and with gaps
+        start = next_id.get(prefix, draw(st.integers(0, 2)))
+        next_id[prefix] = start + draw(st.sampled_from((1, 1, 1, 2)))
+        return doc.add(RawItem(prefix, next_id[prefix], name))
+
+    def ref(prefix: str) -> str:
+        own = [i for i in doc.items if i.prefix == prefix]
+        pick = draw(st.integers(0, 9))
+        if pick == 0:
+            return "NULL"
+        if pick == 1 or not own:
+            # may dangle here, and name an item of the merge later
+            return f"{prefix}#{draw(st.integers(1, 9))}"
+        return str(draw(st.sampled_from(own)).ref)
+
+    def loc() -> list:
+        if draw(st.integers(0, 5)) == 0:
+            return ["NULL", 0, 0]
+        return [ref("so"), draw(st.integers(1, 3)), 1]
+
+    for _ in range(draw(st.integers(1, 2))):
+        new("so", draw(st.sampled_from(FILES))).add("skind", "source")
+    for _ in range(draw(st.integers(0, 14))):
+        prefix = draw(st.sampled_from(("na", "ty", "cl", "ro", "ro", "te", "ma", "ferr")))
+        if prefix == "ferr":
+            item = new("ferr", "t.cpp:1: broken")
+            item.add("floc", *loc())
+            item.add_text("fmsg", draw(st.sampled_from(("broken", "bad token"))))
+            continue
+        item = new(prefix, draw(st.sampled_from(NAMES[prefix])))
+        if prefix == "na":
+            item.add("nnspace", ref("na"))
+        elif prefix == "ty":
+            item.add("yclass" if draw(st.booleans()) else "ynspace", ref("cl"))
+        elif prefix == "cl":
+            item.add("ckind", "class")
+            item.add("cloc", *loc())
+            item.add("cclass" if draw(st.booleans()) else "cnspace", ref("na"))
+            if draw(st.booleans()):
+                item.add("ctempl", ref("te"))
+        elif prefix == "ro":
+            item.add("rsig", ref("ty"))
+            item.add("rclass", ref("cl"))
+            item.add("rloc", *loc())
+            body = loc() if draw(st.booleans()) else ["NULL", 0, 0]
+            item.add("rpos", *loc(), *loc(), *body, *body)
+            if draw(st.integers(0, 4)) == 0:
+                item.add("rstatic", "yes")
+            if draw(st.booleans()):
+                item.add("rtempl", ref("te"))
+            item.add("rcall", ref("ro"), "no", *loc())
+        elif prefix == "te":
+            item.add("tloc", *loc())
+            item.add("tkind", draw(st.sampled_from(("class", "func"))))
+        else:
+            item.add("maloc", *loc())
+    return doc
+
+
+corpora = st.lists(documents(), min_size=0, max_size=6)
+
+
+def _same_as_fold(docs: list[PdbDocument]) -> None:
+    texts = [write_pdb(d) for d in docs]
+
+    def parsed() -> list[PDB]:
+        return [PDB(parse_pdb(t)) for t in texts]
+
+    want_log: list = []
+    want, want_stats = fold(parsed(), want_log)
+    want_text = want.to_text()
+
+    inputs = parsed()
+    got_log: list = []
+    got, got_stats = merge_pdbs(inputs, got_log)
+    assert got.to_text() == want_text
+    assert got_stats == want_stats
+    assert got_log == want_log
+    assert [p.to_text() for p in inputs] == texts
+
+    merged, total, passes = merge_pdb_texts_tree(texts)
+    assert merged.to_text() == want_text
+    summed = MergeStats()
+    for s in want_stats:
+        summed += s
+    assert total == summed
+    assert passes == (1 if len(texts) > 1 else 0)
+
+    if len(texts) == 2:
+        # the two-input case, in place
+        base = PDB(parse_pdb(texts[0]))
+        pair_log: list = []
+        assert base.merge(PDB(parse_pdb(texts[1])), pair_log) == want_stats[0]
+        assert base.to_text() == want_text
+        assert pair_log == want_log
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpora)
+def test_single_pass_matches_fold(docs):
+    _same_as_fold(docs)
+
+
+def test_empty_and_single_input():
+    _same_as_fold([])
+    one = PdbDocument()
+    one.add(RawItem("so", 1, "t.cpp")).add("skind", "source")
+    _same_as_fold([one])
+
+
+def _routine(doc: PdbDocument, id: int, name: str, line: int, cls: str = "NULL") -> RawItem:
+    ro = doc.add(RawItem("ro", id, name))
+    ro.add("rsig", "NULL")
+    ro.add("rclass", cls)
+    ro.add("rloc", "so#1", line, 1)
+    ro.add("rpos", "so#1", line, 1, "so#1", line, 5, "so#1", line, 7, "so#1", line + 1, 1)
+    return ro
+
+
+def _tu(file: str) -> PdbDocument:
+    doc = PdbDocument()
+    doc.add(RawItem("so", 1, file)).add("skind", "source")
+    return doc
+
+
+def test_first_input_duplicates_kept_later_ones_collapse():
+    first = _tu("t.cpp")
+    _routine(first, 1, "f", 3)
+    _routine(first, 2, "f", 3)  # same key: kept, and the one later inputs merge into
+    second = _tu("t.cpp")
+    _routine(second, 1, "f", 3)
+    _routine(second, 2, "g", 5)
+    _routine(second, 3, "g", 5)  # same key inside a later input: collapses
+    caller = _routine(second, 4, "h", 8)
+    caller.add("rcall", "ro#1", "no", "so#1", 9, 2)
+    _same_as_fold([first, second])
+    merged, stats = merge_pdbs([PDB(first), PDB(second)])
+    assert [r.name for r in merged.doc.by_prefix("ro")] == ["f", "f", "g", "h"]
+    assert merged.doc.items[-1].get("rcall").words[0] == "ro#2"
+    assert stats[0].duplicates_eliminated == 3
+
+
+def test_odr_log_order_matches_fold():
+    docs = []
+    for i, line in enumerate((10, 20, 20, 30)):
+        doc = _tu("w.h")
+        _routine(doc, 1, "f", line)
+        _routine(doc, 2, "g", line + i)
+        docs.append(doc)
+    same = _tu("w.h")
+    _routine(same, 1, "k", 40)
+    _routine(same, 2, "k", 50)  # two definitions inside one later input
+    docs.append(same)
+    _same_as_fold(docs)
+    log: list = []
+    _, stats = merge_pdbs([PDB(d) for d in docs], log)
+    assert [s.odr_conflicts for s in stats] == [2, 1, 2, 1]
+    got = [(c["name"], c["existing"], c["incoming"]) for c in log]
+    assert got[:2] == [("f", "w.h:10", "w.h:20"), ("g", "w.h:10", "w.h:21")]
+    assert got[-1] == ("k", "w.h:40", "w.h:50")
+
+
+def test_dangling_ref_resolving_later_rekeys():
+    """A parent ref that dangles in its own input names a class once a
+    later input adds it; the fold re-keys the item, and so must the pass."""
+    first = _tu("t.cpp")
+    _routine(first, 1, "get", 3, cls="cl#1")  # no cl#1 here
+    second = _tu("t.cpp")
+    second.add(RawItem("cl", 1, "Box")).add("cloc", "so#1", 1, 1)
+    third = _tu("t.cpp")
+    third.add(RawItem("cl", 1, "Box")).add("cloc", "so#1", 1, 1)
+    _routine(third, 1, "get", 3, cls="cl#1")  # now a duplicate of the first
+    _same_as_fold([first, second, third])
+    _, stats = merge_pdbs([PDB(first), PDB(second), PDB(third)])
+    assert stats[1].duplicates_eliminated == 3

@@ -1,15 +1,15 @@
-"""Tree-merge equivalence: the pairwise reduction must reproduce the
-serial left fold byte for byte (items, ids, ferr records) and recover
-the fold's aggregate MergeStats analytically."""
-
-from concurrent.futures import ProcessPoolExecutor
+"""Merge entry points against the left-fold oracle: ``merge_pdbs`` and
+``merge_pdb_texts_tree`` (the single-pass merge ``pdbbuild`` runs) must
+reproduce the fold byte for byte (items, ids, ferr records), with the
+fold's per-input MergeStats."""
 
 import pytest
 
-from repro.ductape.pdb import PDB
+from repro.ductape.pdb import PDB, MergeStats
 from repro.pdbfmt.items import PdbDocument, RawItem
-from repro.tools.pdbmerge import merge_pdb_texts_tree, merge_pdbs, merge_pdbs_tree
+from repro.tools.pdbmerge import merge_pdb_texts_tree, merge_pdbs
 
+from tests.merge_oracle import fold
 
 def _tu_pdb(tu: int, shared: int = 5, unique: int = 8) -> PDB:
     """One synthetic per-TU document: shared items that dedup across
@@ -44,56 +44,54 @@ def _corpus(n: int) -> list[PDB]:
     return [_tu_pdb(i) for i in range(n)]
 
 
-def _serial_aggregate(pdbs):
-    merged, per_fold = merge_pdbs(pdbs)
-    agg = {
-        "items_in": sum(s.items_in for s in per_fold),
-        "items_added": sum(s.items_added for s in per_fold),
-        "duplicates_eliminated": sum(s.duplicates_eliminated for s in per_fold),
-        "duplicate_instantiations": sum(s.duplicate_instantiations for s in per_fold),
-        "odr_conflicts": sum(s.odr_conflicts for s in per_fold),
-    }
-    return merged, agg
+def _total(per_input) -> MergeStats:
+    total = MergeStats()
+    for st in per_input:
+        total += st
+    return total
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
-@pytest.mark.parametrize("min_fanin", [2, 8])
-def test_tree_merge_byte_identical_to_fold(n, min_fanin):
-    serial, agg = _serial_aggregate(_corpus(n))
-    tree, stats, depth = merge_pdbs_tree(_corpus(n), min_fanin=min_fanin)
-    assert tree.to_text() == serial.to_text()
-    assert {
-        "items_in": stats.items_in,
-        "items_added": stats.items_added,
-        "duplicates_eliminated": stats.duplicates_eliminated,
-        "duplicate_instantiations": stats.duplicate_instantiations,
-        "odr_conflicts": stats.odr_conflicts,
-    } == agg
-    if min_fanin == 2 and n > 1:
-        assert depth == (n - 1).bit_length()  # genuinely pairwise
+@pytest.mark.parametrize("shared", [2, 8])
+def test_tree_merge_byte_identical_to_fold(n, shared):
+    def corpus():
+        return [_tu_pdb(i, shared=shared) for i in range(n)]
+
+    serial, per_input = fold(corpus())
+    merged, stats = merge_pdbs(corpus())
+    assert merged.to_text() == serial.to_text()
+    assert stats == per_input
+    texts = [p.to_text() for p in corpus()]
+    merged, total, passes = merge_pdb_texts_tree(texts)
+    assert merged.to_text() == serial.to_text()
+    assert total == _total(per_input)
+    assert passes == 1
 
 
 def test_tree_merge_empty_and_single():
-    merged, stats, depth = merge_pdbs_tree([])
+    merged, stats, passes = merge_pdb_texts_tree([])
     assert merged.to_text() == PDB(PdbDocument()).to_text()
-    assert depth == 0
+    assert (stats, passes) == (MergeStats(), 0)
     one = _tu_pdb(0)
-    merged, stats, depth = merge_pdbs_tree([one])
+    merged, stats, passes = merge_pdb_texts_tree([one.to_text()])
     assert merged.to_text() == one.to_text()
-    assert merged.doc is not one.doc  # still a private copy
-    assert depth == 0
+    assert (stats, passes) == (MergeStats(), 0)
+    merged, per_input = merge_pdbs([one])
+    assert merged.to_text() == one.to_text() and per_input == []
+    assert merged.doc is not one.doc
 
 
 def test_tree_merge_does_not_mutate_inputs():
     inputs = _corpus(6)
     before = [p.to_text() for p in inputs]
-    merge_pdbs_tree(inputs, min_fanin=2)
+    merged, _ = merge_pdbs(inputs)
+    merged.merge(_tu_pdb(7))
     assert [p.to_text() for p in inputs] == before
 
 
 def test_tree_merge_odr_conflicts_match_fold():
-    """Conflicting class definitions across TUs: the analytic aggregate
-    must equal the fold's summed odr_conflicts."""
+    """Conflicting class definitions across TUs: per-input odr_conflicts
+    and the ODR log must equal the fold's."""
 
     def tu(i, line):
         doc = PdbDocument()
@@ -107,11 +105,15 @@ def test_tree_merge_odr_conflicts_match_fold():
         return PDB(doc)
 
     pdbs = [tu(i, line) for i, line in enumerate([10, 20, 30, 40])]
-    serial, agg = _serial_aggregate(pdbs)
-    assert agg["odr_conflicts"] > 0
-    tree, stats, _ = merge_pdbs_tree(pdbs, min_fanin=2)
-    assert tree.to_text() == serial.to_text()
-    assert stats.odr_conflicts == agg["odr_conflicts"]
+    want_log: list = []
+    serial, per_input = fold(pdbs, want_log)
+    assert sum(st.odr_conflicts for st in per_input) > 0
+    log: list = []
+    merged, stats = merge_pdbs(pdbs, log)
+    assert merged.to_text() == serial.to_text()
+    assert stats == per_input and log == want_log
+    _, total, _ = merge_pdb_texts_tree([p.to_text() for p in pdbs])
+    assert total.odr_conflicts == _total(per_input).odr_conflicts
 
 
 def test_tree_merge_preserves_ferr_items():
@@ -126,23 +128,15 @@ def test_tree_merge_preserves_ferr_items():
         return PDB(doc)
 
     pdbs = [tu(i) for i in range(4)]
-    serial, _ = _serial_aggregate(pdbs)
-    tree, _, _ = merge_pdbs_tree(pdbs, min_fanin=2)
-    assert tree.to_text() == serial.to_text()
-    assert len(tree.doc.by_prefix("ferr")) == 4
+    serial, _ = fold(pdbs)
+    merged, _ = merge_pdbs(pdbs)
+    assert merged.to_text() == serial.to_text()
+    assert len(merged.doc.by_prefix("ferr")) == 4
 
 
 def test_text_tree_matches_fold():
     texts = [p.to_text() for p in _corpus(9)]
-    serial, _ = _serial_aggregate([PDB.from_text(t) for t in texts])
-    merged, stats, depth = merge_pdb_texts_tree(texts, min_fanin=2)
+    serial, per_input = fold([PDB.from_text(t) for t in texts])
+    merged, stats, passes = merge_pdb_texts_tree(texts)
     assert merged.to_text() == serial.to_text()
-
-
-def test_text_tree_pooled_matches_fold():
-    texts = [p.to_text() for p in _corpus(8)]
-    serial, _ = _serial_aggregate([PDB.from_text(t) for t in texts])
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        merged, stats, depth = merge_pdb_texts_tree(texts, pool=pool, min_fanin=2)
-    assert merged.to_text() == serial.to_text()
-    assert depth == 3
+    assert stats == _total(per_input)

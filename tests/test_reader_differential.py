@@ -22,7 +22,7 @@ from repro.cpp.frontend import Frontend, FrontendOptions
 from repro.ductape.pdb import PDB
 from repro.pdbfmt.reader import PdbParseError, parse_pdb
 from repro.pdbfmt.writer import write_pdb
-from repro.tools.pdbmerge import merge_pdbs_tree
+from repro.tools.pdbmerge import merge_pdbs
 from repro.workloads.synth import SynthSpec, generate
 
 _GARBAGE_LINES = [
@@ -53,7 +53,7 @@ def e12_text() -> str:
     fe = Frontend(FrontendOptions())
     fe.register_files(corpus.files)
     pdbs = [PDB(analyze(t)) for t in fe.compile_many(corpus.main_files)]
-    merged, _, _ = merge_pdbs_tree(pdbs)
+    merged, _ = merge_pdbs(pdbs)
     return write_pdb(merged.doc)
 
 

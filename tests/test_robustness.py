@@ -212,6 +212,24 @@ class TestKeepGoing:
         assert s2.failures == []
         assert s2.cache_hits == 9 and s2.cache_misses == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_recursion_error_is_quarantined(self, tmp_path, jobs):
+        # a hundred nested parentheses exhaust the recursive-descent
+        # parser's stack: that TU fails alone, the others still merge
+        good = [tmp_path / "a.cpp", tmp_path / "b.cpp"]
+        good[0].write_text("int g( ) { return 1; }\nint main( ) { return g( ); }\n")
+        good[1].write_text("int h( ) { return 2; }\n")
+        bad = tmp_path / "deep.cpp"
+        bad.write_text("int f( ) { return %s1%s; }\n" % ("(" * 100, ")" * 100))
+        sources = [str(good[0]), str(bad), str(good[1])]
+        merged, stats = build(sources, BuildOptions(), jobs=jobs, keep_going=True)
+        assert [(f.source, f.phase) for f in stats.failures] == [(str(bad), "frontend")]
+        assert "recursion limit" in stats.failures[0].error
+        ref, _ = build([str(p) for p in good], BuildOptions(), jobs=jobs)
+        assert merged.to_text() == ref.to_text()
+        with pytest.raises(TUCompileError):
+            build(sources, BuildOptions(), jobs=jobs)
+
 
 # -- hung and crashed workers -------------------------------------------
 
@@ -297,6 +315,31 @@ class TestCacheSelfHealing:
         assert bc.stats.evictions == 1 and bc.stats.misses == 1
         # the stale manifest was dropped with it
         assert not list((cache / "manifests").glob("*.json"))
+
+    def test_missing_meta_only_evicts(self, tmp_path):
+        mains, cache, _ = self._seed(tmp_path, n=1)
+        for p in (cache / "objects").glob("*.json"):
+            p.unlink()
+        bc = BuildCache(str(cache))
+        entry = bc.lookup(
+            BuildOptions().fingerprint(), mains[0], lambda n: Path(n).read_text()
+        )
+        assert entry is None
+        assert bc.stats.evictions == 1 and bc.stats.misses == 1
+
+    def test_edits_are_plain_misses_not_evictions(self, tmp_path):
+        # an edited TU's new dependency hashes name an object that was
+        # never stored: a miss, with the manifest kept
+        mains, cache, _ = self._seed(tmp_path)
+        edited = Path(mains[0])
+        for k in range(5):
+            edited.write_text(edited.read_text() + f"int edit_{k}( ) {{ return {k}; }}\n")
+            merged, stats = build(mains, BuildOptions(), cache_dir=str(cache))
+            assert stats.cache_evictions == 0
+            assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+            assert len(list((cache / "manifests").glob("*.json"))) == 2
+            ref, _ = build(mains, BuildOptions())
+            assert merged.to_text() == ref.to_text()
 
     def test_permission_denied_is_a_counted_miss(self, tmp_path, monkeypatch):
         # running as root makes chmod-based denial a no-op, so inject
