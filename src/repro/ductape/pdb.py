@@ -86,6 +86,8 @@ class PDB:
         invalidate).  Deliberately cheap: no ItemRef or wrapper is
         created here — both happen lazily on first access."""
         self._wrappers.clear()
+        #: prefix -> name -> item, built on the first find* lookup
+        self._by_name: dict[str, dict[str, PdbSimpleItem]] = {}
         raw_index: dict[str, dict[int, RawItem]] = {}
         for raw in self.doc.items:
             sub = raw_index.get(raw.prefix)
@@ -161,17 +163,22 @@ class PDB:
         """The ``ferr`` records whose diagnostics point into ``f``."""
         return [e for e in self.getErrorVec() if e.file() is f]
 
+    def _find(self, prefix: str, name: str) -> Optional[PdbSimpleItem]:
+        """The first ``prefix`` item in file order whose full name or
+        name is ``name``."""
+        index = self._by_name.get(prefix)
+        if index is None:
+            index = self._by_name[prefix] = {}
+            for item in self._vec(prefix):
+                index.setdefault(item.fullName(), item)
+                index.setdefault(item.name(), item)
+        return index.get(name)
+
     def findRoutine(self, full_name: str) -> Optional[PdbRoutine]:
-        for r in self.getRoutineVec():
-            if r.fullName() == full_name or r.name() == full_name:
-                return r
-        return None
+        return self._find("ro", full_name)
 
     def findClass(self, name: str) -> Optional[PdbClass]:
-        for c in self.getClassVec():
-            if c.fullName() == name or c.name() == name:
-                return c
-        return None
+        return self._find("cl", name)
 
     # -- derived structure queries ----------------------------------------------
 

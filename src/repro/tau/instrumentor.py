@@ -68,11 +68,15 @@ def instrument_sources(
     """Rewrite every file in ``sources`` that contains instrumentable
     entities; files without any come back unchanged (minus the TAU.h
     include).  Returns a map file name -> result."""
-    out: dict[str, InstrumentedSource] = {}
-    for file_name, text in sources.items():
-        points = select_instrumentation(pdb, file=file_name)
-        out[file_name] = instrument_file(file_name, text, points, profile_group)
-    return out
+    by_file: dict[str, list[InstrumentationPoint]] = {}
+    for p in select_instrumentation(pdb):
+        by_file.setdefault(p.file_name, []).append(p)
+    return {
+        file_name: instrument_file(
+            file_name, text, by_file.get(file_name, []), profile_group
+        )
+        for file_name, text in sources.items()
+    }
 
 
 def instrument_file(
@@ -83,13 +87,14 @@ def instrument_file(
 ) -> InstrumentedSource:
     """Apply the instrumentation points that target ``file_name``."""
     insertions: list[Insertion] = []
+    lines = text.splitlines()
     for p in points:
         if p.file_name != file_name:
             continue
         body = _body_begin(p)
         if body is None:
             continue
-        brace = _find_open_brace(text, body[0], body[1])
+        brace = _find_open_brace(lines, body[0], body[1])
         if brace is None:
             continue
         macro = (
@@ -113,11 +118,10 @@ def _body_begin(p: InstrumentationPoint):
     return None
 
 
-def _find_open_brace(text: str, line: int, col: int):
-    """First ``{`` at or after (line, col); returns its (line, col) or
-    None.  Needed because a constructor's body extent begins at the
-    initialiser-list ``:``."""
-    lines = text.splitlines()
+def _find_open_brace(lines: list[str], line: int, col: int):
+    """First ``{`` at or after (line, col) in the file's ``lines``;
+    returns its (line, col) or None.  Needed because a constructor's
+    body extent begins at the initialiser-list ``:``."""
     if not (1 <= line <= len(lines)):
         return None
     idx = lines[line - 1].find("{", max(0, col - 1))

@@ -39,7 +39,7 @@ class TimerStats:
         return self.exclusive / self.calls if self.calls else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActiveTimer:
     stats: TimerStats
     start: float
@@ -58,6 +58,8 @@ class ThreadProfile:
         self.thread = thread
         self.timers: dict[str, TimerStats] = {}
         self._stack: list[_ActiveTimer] = []
+        #: timer name -> activations of it on the stack
+        self._active: dict[str, int] = {}
         self._now = 0.0
 
     # -- clock ------------------------------------------------------------
@@ -84,28 +86,36 @@ class ThreadProfile:
     def start(self, name: str, group: str = "TAU_DEFAULT") -> None:
         stats = self.timer(name, group)
         stats.calls += 1
-        if self._stack:
-            self._stack[-1].stats.subrs += 1
-        outermost = all(a.stats is not stats for a in self._stack)
-        self._stack.append(
-            _ActiveTimer(stats=stats, start=self._now, outermost=outermost)
-        )
+        stack = self._stack
+        if stack:
+            stack[-1].stats.subrs += 1
+        running = self._active.get(stats.name, 0)
+        self._active[stats.name] = running + 1
+        stack.append(_ActiveTimer(stats, self._now, 0.0, running == 0))
 
     def stop(self, name: Optional[str] = None) -> None:
-        if not self._stack:
+        stack = self._stack
+        if not stack:
             raise RuntimeError("timer stack underflow")
-        active = self._stack.pop()
-        if name is not None and active.stats.name != name:
+        active = stack[-1]
+        stats = active.stats
+        if name is not None and stats.name != name:
             raise RuntimeError(
                 f"timer stop mismatch: stopping {name!r}, "
-                f"top of stack is {active.stats.name!r}"
+                f"top of stack is {stats.name!r}"
             )
+        stack.pop()
+        running = self._active[stats.name] - 1
+        if running:
+            self._active[stats.name] = running
+        else:
+            del self._active[stats.name]
         span = self._now - active.start
         if active.outermost:
-            active.stats.inclusive += span
-        active.stats.exclusive += span - active.child_time
-        if self._stack:
-            self._stack[-1].child_time += span
+            stats.inclusive += span
+        stats.exclusive += span - active.child_time
+        if stack:
+            stack[-1].child_time += span
 
     def stop_all(self) -> None:
         """Stop every running timer at the current clock.

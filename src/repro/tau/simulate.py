@@ -9,8 +9,11 @@ Two engines produce identical profiles (cross-checked by tests):
 
 * :meth:`ExecutionSimulator.run_traced` — direct recursive
   interpretation, calling ``Profiler.start``/``advance``/``stop`` per
-  simulated invocation; also emits trace events.  Cost: proportional to
-  the number of simulated calls.
+  simulated invocation; also emits trace events.  Call sites are
+  resolved once per routine per run (its timer, own cost per node and
+  ``[(callee, count)]`` list, linked on first descent), so the cost per
+  simulated call is the runtime and trace work alone; the total stays
+  proportional to the number of simulated calls.
 * :meth:`ExecutionSimulator.run` — closed-form evaluation: each
   routine's subtree effect (span, timer deltas) is computed once per
   node and scaled by trip counts.  Cost: proportional to the size of the
@@ -137,6 +140,27 @@ class _Effect:
     deltas: dict[str, list[float]] = field(default_factory=dict)
 
 
+_UNNAMED = object()
+
+
+class _Plan:
+    """One routine as the traced engine runs it, built once per run.
+
+    ``base`` is its timer name (``_UNNAMED`` until its first execution),
+    ``costs[node]`` its own cost on each node, ``calls`` its call sites
+    as ``[(callee plan, count)]`` (``None`` until first descent) and
+    ``active`` marks it on the current call chain (the recursion cut)."""
+
+    __slots__ = ("routine", "base", "costs", "calls", "active")
+
+    def __init__(self, routine: PdbRoutine, costs: list[float]):
+        self.routine = routine
+        self.base = _UNNAMED
+        self.costs = costs
+        self.calls: Optional[list] = None
+        self.active = False
+
+
 class ExecutionSimulator:
     """Interprets a PDB call graph, producing TAU profiles (and traces)."""
 
@@ -188,66 +212,90 @@ class ExecutionSimulator:
         if callpath_depth < 1:
             raise ValueError("callpath_depth must be >= 1")
         profiler = Profiler()
+        plans: dict = {}
+        entry = self._plan(self._entry, plans)
         for node in range(self.spec.nodes):
             prof = profiler.profile(node=node)
-            budget = [max_events]
-            self._exec(
-                self._entry, node, prof, tracer, set(), budget, [], callpath_depth
-            )
+            self._walk(entry, plans, node, prof, tracer, max_events, callpath_depth)
             # end-of-run snapshot: anything still on the stack (e.g. a
             # simulated program that never returns from main) is stopped
             # at the final clock so its time is not lost
             prof.stop_all()
         return profiler
 
-    def _exec(
+    def _plan(self, r: PdbRoutine, plans: dict) -> _Plan:
+        plan = plans.get(r.ref)
+        if plan is None:
+            name, cost = r.fullName(), self.spec.cost.cost
+            plan = _Plan(r, [cost(name, node) for node in range(self.spec.nodes)])
+            plans[r.ref] = plan
+        return plan
+
+    def _link(self, plan: _Plan, plans: dict) -> list:
+        """Resolve ``plan``'s call sites: unresolved callees and sites
+        that run zero times are dropped."""
+        r = plan.routine
+        caller = r.fullName()
+        calls = []
+        for call in r.callees():
+            callee = call.call()
+            if callee is None:
+                continue
+            n = self.spec.count(caller, callee.fullName(), _site_of(call))
+            if n > 0:
+                calls.append((self._plan(callee, plans), n))
+        plan.calls = calls
+        return calls
+
+    def _walk(
         self,
-        r: PdbRoutine,
+        entry: _Plan,
+        plans: dict,
         node: int,
         prof: ThreadProfile,
         tracer: Optional[TraceBuffer],
-        active: set,
-        budget: list[int],
-        path: list[str],
+        budget: int,
         depth: int,
     ) -> None:
-        if budget[0] <= 0:
-            return
-        budget[0] -= 1
-        base = self._timer(r)
-        timer = base
-        if base is not None and depth > 1:
-            window = (path + [base])[-depth:]
-            timer = " => ".join(window)
-        if timer is not None:
-            prof.start(timer, self._group(base))
-            if tracer is not None:
-                tracer.enter(node, timer, prof.now)
-            path.append(base)  # type: ignore[arg-type]
-        prof.advance(self.spec.cost.cost(r.fullName(), node))
-        if r.ref not in active:
-            active.add(r.ref)
-            try:
-                for call in r.callees():
-                    callee = call.call()
-                    if callee is None:
-                        continue
-                    n = self.spec.count(
-                        r.fullName(), callee.fullName(), _site_of(call)
-                    )
+        """Run ``entry`` on ``node``: at most ``budget`` simulated calls,
+        checked before each one."""
+        start, stop, advance = prof.start, prof.stop, prof.advance
+        groups, default_group = self._groups, self.group
+        path: list[str] = []
+
+        def call(plan: _Plan) -> None:
+            nonlocal budget
+            budget -= 1
+            base = plan.base
+            if base is _UNNAMED:
+                # named on first execution, as a per-call lookup would
+                base = plan.base = self._timer(plan.routine)
+            if base is not None:
+                timer = base if depth == 1 else " => ".join((path + [base])[-depth:])
+                start(timer, groups.get(base, default_group))
+                if tracer is not None:
+                    tracer.enter(node, timer, prof.now)
+                path.append(base)
+            advance(plan.costs[node])
+            if not plan.active:
+                calls = plan.calls
+                if calls is None:
+                    calls = self._link(plan, plans)
+                plan.active = True
+                for callee, n in calls:
                     for _ in range(n):
-                        if budget[0] <= 0:
+                        if budget <= 0:
                             break
-                        self._exec(
-                            callee, node, prof, tracer, active, budget, path, depth
-                        )
-            finally:
-                active.discard(r.ref)
-        if timer is not None:
-            path.pop()
-            prof.stop(timer)
-            if tracer is not None:
-                tracer.exit(node, timer, prof.now)
+                        call(callee)
+                plan.active = False
+            if base is not None:
+                path.pop()
+                stop(timer)
+                if tracer is not None:
+                    tracer.exit(node, timer, prof.now)
+
+        if budget > 0:
+            call(entry)
 
     # -- closed-form engine -------------------------------------------------------
 

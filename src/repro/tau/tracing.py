@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class EventKind(enum.Enum):
@@ -19,8 +19,7 @@ class EventKind(enum.Enum):
     EXIT = "exit"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One enter/exit record: node, timer, virtual timestamp."""
 
     node: int
@@ -45,10 +44,12 @@ class TraceBuffer:
         self._emit(node, EventKind.EXIT, timer, timestamp)
 
     def _emit(self, node: int, kind: EventKind, timer: str, ts: float) -> None:
-        if len(self.events) >= self.max_events:
+        events = self.events
+        n = len(events)
+        if n >= self.max_events:
             self.dropped += 1
             return
-        self.events.append(TraceEvent(node, kind, timer, ts, len(self.events)))
+        events.append(TraceEvent(node, kind, timer, ts, n))
 
     def node_events(self, node: int) -> list[TraceEvent]:
         return [e for e in self.events if e.node == node]

@@ -101,6 +101,28 @@ class TestVectors:
         pdb = pdb_for(self.SRC)
         assert pdb.findClass("C") is not None
 
+    def test_find_first_match_in_document_order(self):
+        """A name matches an item's full name or its short name, and the
+        first item in document order wins: here ``W::get``'s short name
+        shadows the free ``get`` that follows it."""
+        from repro.pdbfmt.items import PdbDocument, RawItem
+
+        doc = PdbDocument()
+        doc.add(RawItem("cl", 1, "W")).add("ckind", "class")
+        doc.add(RawItem("cl", 2, "V")).add("ckind", "class")
+        doc.add(RawItem("ro", 1, "get")).add("rclass", "cl#1")
+        doc.add(RawItem("ro", 2, "get"))
+        doc.add(RawItem("ro", 3, "V")).add("rclass", "cl#2")
+        pdb = PDB(doc)
+        first, free, ctor = pdb.getRoutineVec()
+        assert (first.fullName(), free.fullName()) == ("W::get", "get")
+        assert pdb.findRoutine("get") is first
+        assert pdb.findRoutine("W::get") is first
+        assert pdb.findRoutine("V") is ctor
+        assert pdb.findRoutine("V::V") is ctor
+        assert pdb.findClass("V") is pdb.getClassVec()[1]
+        assert pdb.findRoutine("W") is None and pdb.findClass("get") is None
+
 
 class TestAccessors:
     def test_routine_accessors(self):
@@ -288,6 +310,16 @@ class TestMerge:
         pa.merge(pb)
         names = {r.name() for r in pa.getRoutineVec()}
         assert {"fa", "fb"} <= names
+
+    def test_find_after_merge_sees_merged_items(self):
+        pa, pb = self.make_pair()
+        assert pa.findRoutine("fb") is None  # builds the name index
+        box = pa.findClass("Box<int>")
+        pa.merge(pb)
+        fb = pa.findRoutine("fb")
+        assert fb is not None and fb is pa.item(fb.raw.ref)
+        merged_box = pa.findClass("Box<int>")
+        assert merged_box is not box and merged_box is pa.item(merged_box.raw.ref)
 
     def test_merge_remaps_references(self):
         pa, pb = self.make_pair()

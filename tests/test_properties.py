@@ -185,6 +185,29 @@ def test_runtime_call_balance(script):
         assert t.calls == starts.get(name, 0)
 
 
+@given(timer_scripts())
+@settings(max_examples=200)
+def test_runtime_inclusive_counts_outermost_activations(script):
+    """A timer's inclusive time is the sum of the spans of its outermost
+    activations; a recursive re-activation adds none (shadow stack)."""
+    p = ThreadProfile()
+    shadow: list[tuple[str, float]] = []
+    want: dict[str, float] = {}
+    for op, arg in script:
+        if op == "start":
+            p.start(arg)
+            shadow.append((arg, p.now))
+        elif op == "stop":
+            p.stop()
+            name, began = shadow.pop()
+            if all(n != name for n, _ in shadow):
+                want[name] = want.get(name, 0.0) + p.now - began
+        else:
+            p.advance(arg)
+    for name, t in p.timers.items():
+        assert t.inclusive == pytest.approx(want.get(name, 0.0))
+
+
 @st.composite
 def open_timer_scripts(draw):
     """Timer scripts that may end with timers still running (no

@@ -90,7 +90,82 @@ class TestSelector:
         assert sizes and sizes[0].needs_ct
 
 
+def _load(rel_path: str, module_name: str):
+    """Import a repository file outside the ``tests`` package."""
+    import importlib.util
+    import os
+    import sys
+
+    path = os.path.join(os.path.dirname(__file__), "..", rel_path)
+    spec = importlib.util.spec_from_file_location(module_name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[module_name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fig6_corpus(tmp_path):
+    src = _load("benchmarks/test_e5_tau_selection.py", "e5_tau_selection").FIG6_SRC
+    return PDB(analyze(compile_source(src))), {"main.cpp": src}, ""
+
+
+def _stack_corpus(tmp_path):
+    from repro.workloads.stack import stack_files
+
+    return PDB(analyze(compile_stack())), dict(stack_files()), ""
+
+
+def _analyze_corpus(tmp_path):
+    """A small corpus from the benchmark's generator, built by pdbbuild."""
+    import os
+
+    from repro.tools import pdbbuild
+
+    gen = _load("perfbench/corpus.py", "perfbench_corpus")
+    corpus = gen.generate(1, gen.CorpusSpec(n_tus=3, n_headers=3, headers_per_tu=2))
+    corpus.write(str(tmp_path))
+    options = pdbbuild.BuildOptions(
+        include_paths=tuple(str(tmp_path / d) for d in corpus.include_dirs)
+    )
+    pdb, _ = pdbbuild.build([str(tmp_path / s) for s in corpus.sources], options)
+    sources = {}
+    for f in pdb.getFileVec():
+        if not f.isSystem():
+            with open(f.name()) as fh:
+                sources[f.name()] = fh.read()
+    return pdb, sources, str(tmp_path) + os.sep
+
+
 class TestInstrumentor:
+    @pytest.mark.parametrize(
+        "make, want",
+        [
+            (_fig6_corpus, "c96b5620744c7f72a616a57ab03fcfdf6770bdd8f12f821ee17bf8969ebc046b"),
+            (_stack_corpus, "0b72d747697c22290c28ff81e4b1cbe361a58f6f791a8f3e57f84c931a040514"),
+            (_analyze_corpus, "faf42ca0a4e0544f30389c02d2cf4c21a27f7a0c938b18ced22d4caba21e1162"),
+        ],
+        ids=["e5-fig6", "e5-stack", "analyze-corpus"],
+    )
+    def test_rewrite_bytes_unchanged(self, make, want, tmp_path):
+        """One selection pass bucketed by file rewrites every file to the
+        bytes a per-file selection gives, and to the pinned digest of
+        those bytes (file names relative to the corpus root)."""
+        import hashlib
+
+        pdb, sources, root = make(tmp_path)
+        got = instrument_sources(pdb, sources)
+        digest = hashlib.sha256()
+        for name in sorted(got):
+            per_file = instrument_file(
+                name, sources[name], select_instrumentation(pdb, file=name)
+            )
+            assert got[name].text == per_file.text
+            assert got[name].insertions == per_file.insertions
+            rel = name[len(root):] if name.startswith(root) else name
+            digest.update(rel.encode() + b"\0" + got[name].text.encode() + b"\0")
+        assert any(r.insertions for r in got.values())
+        assert digest.hexdigest() == want
+
     def test_macro_inserted_after_brace(self, stack_pdb):
         from repro.workloads.stack import STACKAR_CPP
 
@@ -193,6 +268,30 @@ class TestRuntime:
         p.start("a")
         with pytest.raises(RuntimeError, match="mismatch"):
             p.stop("b")
+
+    def test_stop_mismatch_keeps_the_stack(self):
+        p = ThreadProfile()
+        p.start("f")
+        p.advance(1)
+        p.start("g")
+        p.advance(2)
+        p.start("f")  # recursive re-activation
+        p.advance(4)
+        with pytest.raises(RuntimeError, match="mismatch"):
+            p.stop("g")
+        assert p.depth == 3 and p.top().name == "f"
+        p.stop("f")
+        p.advance(8)
+        p.stop("g")
+        p.stop("f")
+        f, g = p.timers["f"], p.timers["g"]
+        assert (f.inclusive, f.exclusive) == (15, 5)
+        assert (g.inclusive, g.exclusive) == (14, 10)
+        # no activation left behind: the next "f" is outermost again
+        p.start("f")
+        p.advance(2)
+        p.stop("f")
+        assert (f.inclusive, f.exclusive) == (17, 7)
 
     def test_underflow_raises(self):
         with pytest.raises(RuntimeError, match="underflow"):
