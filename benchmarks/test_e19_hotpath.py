@@ -9,10 +9,11 @@ point is zero observable change):
   ``#define``/``#if`` lines, preprocessing-dominated, the shape of real
   config headers): ``compile_many`` with the cache vs without must be
   >= 2x and byte-identical;
-* **reader** — the partition/slice scanner vs the regex reference path
-  (``strict=True``) over the same PDB text: >= 2x, identical document;
+* **reader** — the partition/slice scanner vs the regex reader oracle
+  (``tests/reader_oracle.py``) over the same PDB text: >= 2x, identical
+  document;
 * **lazy load** — opening a large database and touching one routine vs
-  eagerly materialising every wrapper: >= 5x;
+  eagerly building every wrapper (``pdb.items()``): >= 5x;
 * **single-pass merge** — the k-way ``merge_pdbs`` vs the left-fold
   oracle (``tests/merge_oracle.py``): byte-identical at N in {2, 4, 16},
   ratio >= 0.85 at N=4, faster at N=16.
@@ -39,6 +40,7 @@ from repro.tools.pdbmerge import merge_pdbs
 from repro.workloads.synth import SynthSpec, generate
 
 from tests.merge_oracle import fold
+from tests.reader_oracle import parse_pdb_regex
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_E19.json"
 
@@ -214,25 +216,25 @@ def test_e19_header_cache_speedup():
 def test_e19_reader_speedup(e12_text):
     text = e12_text
     fast_doc = parse_pdb(text)
-    strict_doc = parse_pdb(text, strict=True)
-    assert write_pdb(fast_doc) == write_pdb(strict_doc)  # identical documents
+    oracle_doc = parse_pdb_regex(text)
+    assert write_pdb(fast_doc) == write_pdb(oracle_doc)  # identical documents
 
-    t_fast, t_strict = _interleaved(
-        lambda: parse_pdb(text), lambda: parse_pdb(text, strict=True), repeats=7
+    t_fast, t_regex = _interleaved(
+        lambda: parse_pdb(text), lambda: parse_pdb_regex(text), repeats=7
     )
-    speedup = t_strict / t_fast
+    speedup = t_regex / t_fast
     _record(
         "reader",
         {
             "corpus": f"{len(fast_doc.items)} items, {len(text)} bytes",
-            "regex_s": round(t_strict, 6),
+            "regex_s": round(t_regex, 6),
             "fast_s": round(t_fast, 6),
             "speedup": round(speedup, 2),
             "gate": ">= 2x",
         },
     )
     print(
-        f"\nE19 reader: regex={t_strict * 1000:.1f}ms fast={t_fast * 1000:.1f}ms "
+        f"\nE19 reader: regex={t_regex * 1000:.1f}ms fast={t_fast * 1000:.1f}ms "
         f"-> {speedup:.2f}x"
     )
     assert speedup >= 2.0
@@ -241,8 +243,8 @@ def test_e19_reader_speedup(e12_text):
 def test_e19_lazy_load_speedup(e12_text):
     """The DUCTAPE layer alone: given a parsed document, wrapping is
     O(touched items), so opening a database to inspect one routine must
-    no longer pay for every wrapper (``materialize`` restores the old
-    eager behaviour for comparison)."""
+    no longer pay for every wrapper (``pdb.items()`` builds them all,
+    the old eager behaviour, for comparison)."""
     doc = parse_pdb(e12_text)
     ref = None
     for it in doc.items:
@@ -256,7 +258,7 @@ def test_e19_lazy_load_speedup(e12_text):
 
     def touch_one_eager():
         pdb = PDB(doc)
-        pdb.materialize()
+        pdb.items()
         assert pdb.item(ref) is not None
 
     t_lazy, t_eager = _interleaved(touch_one_lazy, touch_one_eager, repeats=7)

@@ -96,12 +96,6 @@ class PDB:
             sub[raw.id] = raw
         self._raw = raw_index
 
-    def materialize(self) -> int:
-        """Force every wrapper into existence (the eager-load behaviour
-        lazy loading replaced) and return the item count.  Tools that
-        will touch the whole database anyway can call this up front."""
-        return len(self.items())
-
     # -- output ------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -320,6 +314,9 @@ class PdbMerger:
         counters = self._counters
         remap: dict[str, str] = {}
         pending: list[tuple] = []
+        #: ODR keys first defined by ``other`` itself; their ``prior``
+        #: still holds refs local to ``other``
+        own_odr: set = set()
         for raw in other.items:
             index.missed = False
             key = _item_key(index, raw)
@@ -337,18 +334,18 @@ class PdbMerger:
                 if prior is not None:
                     stats.odr_conflicts += 1
                     if odr_log is not None:
-                        # as in the fold, a ``prior`` from ``other``
-                        # itself still holds input-local refs here
+                        prior_index = index if okey in own_odr else self._index
                         odr_log.append(
                             {
                                 "kind": "routine" if raw.prefix == "ro" else "class",
                                 "name": okey[1],
-                                "existing": _loc_str(self._index, prior),
+                                "existing": _loc_str(prior_index, prior),
                                 "incoming": _loc_str(index, raw),
                             }
                         )
                 else:
                     odr[okey] = raw
+                    own_odr.add(okey)
             counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
             clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
             for a in raw.attributes:

@@ -46,6 +46,7 @@ def pair_merge(doc: PdbDocument, other: PdbDocument, odr_log: Optional[list] = N
     for raw in doc.items:
         counters[raw.prefix] = max(counters.get(raw.prefix, 0), raw.id)
     pending: list[RawItem] = []
+    own_odr: set = set()  # ODR keys first defined by ``other`` itself
     for raw in other.items:
         key = _item_key(other_index, raw)
         existing = self_keys.get(key)
@@ -61,16 +62,18 @@ def pair_merge(doc: PdbDocument, other: PdbDocument, odr_log: Optional[list] = N
             if prior is not None:
                 stats.odr_conflicts += 1
                 if odr_log is not None:
+                    prior_index = other_index if okey in own_odr else self_index
                     odr_log.append(
                         {
                             "kind": "routine" if raw.prefix == "ro" else "class",
                             "name": okey[1],
-                            "existing": _loc_str(self_index, prior),
+                            "existing": _loc_str(prior_index, prior),
                             "incoming": _loc_str(other_index, raw),
                         }
                     )
             else:
                 self_odr[okey] = raw
+                own_odr.add(okey)
         counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
         clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
         for a in raw.attributes:

@@ -216,3 +216,22 @@ def test_dangling_ref_resolving_later_rekeys():
     _same_as_fold([first, second, third])
     _, stats = merge_pdbs([PDB(first), PDB(second), PDB(third)])
     assert stats[1].duplicates_eliminated == 3
+
+
+def test_odr_log_locates_same_input_prior_in_its_own_input():
+    """Both definitions of ``C`` come from the second input, whose local
+    ``so#1`` is ``b.h``; in the merged index ``so#1`` is the first
+    input's ``a.cpp``, so the existing location must resolve locally."""
+    first = _tu("a.cpp")
+    second = _tu("b.h")
+    second.add(RawItem("so", 2, "c.h")).add("skind", "source")
+    second.add(RawItem("cl", 1, "C")).add("cloc", "so#1", 3, 8)
+    second.add(RawItem("cl", 2, "C")).add("cloc", "so#2", 7, 8)
+    want = [{"kind": "class", "name": "C", "existing": "b.h:3", "incoming": "c.h:7"}]
+    fold_log: list = []
+    fold([PDB(first), PDB(second)], fold_log)
+    assert fold_log == want
+    pass_log: list = []
+    merge_pdbs([PDB(first), PDB(second)], pass_log)
+    assert pass_log == want
+    _same_as_fold([first, second])

@@ -1,16 +1,12 @@
-"""Differential regression guard for the fast PDB reader.
+"""Differential regression guard for the PDB reader.
 
-The partition/slice scanner (``parse_pdb``) and the regex reference
-path (``parse_pdb(strict=True)``) share one grammar; this suite holds
-them to it.  Over the E12 round-trip fixpoint corpus and a seeded
-battery of mutated variants, every input must either parse to the same
-document on both paths or raise the same ``PdbParseError`` (message
-*and* line number) on both.
-
-Mutations stay within printable ASCII: the one documented divergence
-between the paths is that the regex path's ``\\d`` accepts Unicode
-digits in item ids, which no real database contains and which this
-guard deliberately does not exercise.
+The partition/slice scanner (``parse_pdb``) is held to the regex reader
+it replaced (``tests/reader_oracle.py``).  Over the E12 round-trip
+fixpoint corpus, a seeded battery of mutated variants (some with
+non-ASCII digits and whitespace spliced in) and the canonical structural
+errors, every input must either parse to the same document on both
+readers or raise the same ``PdbParseError`` (message *and* line number)
+on both.
 """
 
 import random
@@ -24,6 +20,12 @@ from repro.pdbfmt.reader import PdbParseError, parse_pdb
 from repro.pdbfmt.writer import write_pdb
 from repro.tools.pdbmerge import merge_pdbs
 from repro.workloads.synth import SynthSpec, generate
+
+from tests.reader_oracle import parse_pdb_regex
+
+#: characters a loose grammar might take for digits or whitespace:
+#: ARABIC-INDIC DIGIT ONE/TWO, NO-BREAK SPACE, EM SPACE
+_NON_ASCII = "\u0661\u0662\xa0\u2003"
 
 _GARBAGE_LINES = [
     "not an item line",
@@ -58,20 +60,21 @@ def e12_text() -> str:
 
 
 def _outcome(text: str):
-    """Parse on one path, normalising to ('ok', rendered) / ('err', msg)."""
+    """Parse with both readers, normalising each to ('ok', rendered) /
+    ('err', (message, line number))."""
 
-    def run(strict):
+    def run(parse):
         try:
-            return ("ok", write_pdb(parse_pdb(text, strict=strict)))
+            return ("ok", write_pdb(parse(text)))
         except PdbParseError as e:
             return ("err", (str(e), e.line_no))
 
-    return run(False), run(True)
+    return run(parse_pdb), run(parse_pdb_regex)
 
 
 def _mutate(lines: list[str], rng: random.Random) -> list[str]:
     out = list(lines)
-    op = rng.randrange(8)
+    op = rng.randrange(9)
     i = rng.randrange(len(out))
     if op == 0:
         del out[i]
@@ -90,14 +93,17 @@ def _mutate(lines: list[str], rng: random.Random) -> list[str]:
         out[i] = out[i][:k] + ch + out[i][k + 1 :]
     elif op == 6:
         out = out[: max(1, i)]
-    else:
+    elif op == 7:
         out[i] = out[i][: rng.randrange(len(out[i]) + 1)]
+    else:
+        k = rng.randrange(len(out[i]) + 1)
+        out[i] = out[i][:k] + rng.choice(_NON_ASCII) + out[i][k:]
     return out
 
 
 def test_fixpoint_corpus_agrees(e12_text):
-    fast, strict = _outcome(e12_text)
-    assert fast == strict
+    fast, oracle = _outcome(e12_text)
+    assert fast == oracle
     assert fast == ("ok", e12_text)  # the corpus really is a fixpoint
 
 
@@ -109,12 +115,12 @@ def test_differential_fuzz_over_mutated_corpus(e12_text):
         for _ in range(rng.randrange(1, 4)):
             lines = _mutate(lines, rng)
         text = "\n".join(lines)
-        fast, strict = _outcome(text)
-        assert fast == strict, f"divergence on mutant {case}:\n{text[:400]}"
+        fast, oracle = _outcome(text)
+        assert fast == oracle, f"divergence on mutant {case}:\n{text[:400]}"
 
 
 def test_structural_errors_agree():
-    """The canonical error cases: both paths must raise the identical
+    """The canonical error cases: both readers must raise the identical
     PdbParseError (message and line number)."""
     cases = [
         "",
@@ -123,8 +129,32 @@ def test_structural_errors_agree():
         "<PDB 1.0>\n\n<PDB 1.0>\n",
         "<PDB 1.0>\nrloc so#1 1 1\n",
         "junk\n<PDB 1.0>\n",
+        "<PDB 1.0>\nso#1 a\nskind source\n\nro#2 f\n<PDB 1.0>\n",  # duplicate after items
+        "<PDB 1.0>\n\n<weird x y\nso#1 a\n",  # '<' attribute line before any item
+        "\n  \n\t\njunk\n",  # blank lines, then junk
+        "<PDB\xa01.0>\nso#1 a\n",  # no-break space: not a header
     ]
     for text in cases:
-        fast, strict = _outcome(text)
-        assert fast == strict, f"divergence on {text!r}"
+        fast, oracle = _outcome(text)
+        assert fast == oracle, f"divergence on {text!r}"
         assert fast[0] == "err"
+
+
+@pytest.mark.parametrize("line", ["ro#\u0661\u0662 f", "ro#12\xa0f", "ro#12\u2003f"])
+def test_non_ascii_id_or_separator_is_an_attribute(line):
+    """Neither reader takes Unicode digits or whitespace for an item
+    line's id or separator: the line is an attribute of the item above."""
+    text = f"<PDB 1.0>\nso#1 a\n{line}\n"
+    fast, oracle = _outcome(text)
+    assert fast == oracle == ("ok", f"<PDB 1.0>\n\nso#1 a\n{line}\n")
+
+
+def test_angle_bracket_attribute_line_stays_lazy():
+    """A non-header line starting with '<' is an ordinary attribute line:
+    the document parses on the one path, attributes still unparsed."""
+    text = "<PDB 1.0>\nso#1 a\n<weird x y\n"
+    doc = parse_pdb(text)
+    assert doc.items[0]._raw is not None  # not yet materialised
+    fast, oracle = _outcome(text)
+    assert fast == oracle and fast[0] == "ok"
+    assert doc.items[0].attributes[0].key == "<weird"
