@@ -45,8 +45,8 @@ class TemplateBloatCheck(Check):
     rules = (UNUSED_INSTANTIATION, UNUSED_CLASS_INSTANTIATION)
 
     def run(self, ctx: CheckContext) -> list[Finding]:
-        callers = ctx.callers_map()
-        derived = ctx.derived_map()
+        callers = ctx.pdb.graph.callers
+        derived = ctx.pdb.graph.derived
         class_refs = ctx.class_refs_map()
 
         # resolve template back-links once per item; the provenance pass
@@ -55,35 +55,34 @@ class TemplateBloatCheck(Check):
         routine_tmpl = [(r, r.template()) for r in ctx.routines]
 
         dead_classes: list[PdbClass] = []
-        dead_class_refs: set = set()
+        dead_class_items: set = set()
         for c, tmpl in class_tmpl:
             if tmpl is None:
                 continue
-            if derived.get(c.ref):
+            if derived.get(c):
                 continue
-            owners = class_refs.get(c.ref, set())
-            if any(owner != c.ref for owner in owners):
+            if any(owner is not c for owner in class_refs.get(c, ())):
                 continue
             if any(
-                any(caller.parentClass() is not c for caller in callers.get(m.ref, []))
+                any(caller.parentClass() is not c for caller in callers.get(m, ()))
                 for m in c.memberFunctions()
             ):
                 continue
             dead_classes.append(c)
-            dead_class_refs.add(c.ref)
+            dead_class_items.add(c)
 
         dead_routines: list[PdbRoutine] = []
         for r, tmpl in routine_tmpl:
             if tmpl is None or r.name() == "main":
                 continue
-            if callers.get(r.ref):
+            if callers.get(r):
                 continue
             body = r.bodyBegin()
             if not body.known:
                 continue  # declaration-only (used mode): no code generated
             parent = r.parentClass()
             if parent is not None:
-                if parent.ref in dead_class_refs:
+                if parent in dead_class_items:
                     continue  # already reported as PDT012 on the class
                 if not _out_of_line(r, parent):
                     continue
@@ -93,11 +92,11 @@ class TemplateBloatCheck(Check):
         totals: dict = {}
         for _item, t in [*class_tmpl, *routine_tmpl]:
             if t is not None:
-                totals[t.ref] = totals.get(t.ref, 0) + 1
+                totals[t] = totals.get(t, 0) + 1
         unused: dict = {}
         for item in [*dead_classes, *dead_routines]:
             t = item.template()
-            unused[t.ref] = unused.get(t.ref, 0) + 1
+            unused[t] = unused.get(t, 0) + 1
 
         findings: list[Finding] = []
         for c in dead_classes:
@@ -108,7 +107,7 @@ class TemplateBloatCheck(Check):
                     c,
                     f"class '{c.fullName()}' instantiated from template "
                     f"'{t.fullName()}' is never used "
-                    f"({unused[t.ref]} of {totals[t.ref]} instantiations of this template unused)",
+                    f"({unused[t]} of {totals[t]} instantiations of this template unused)",
                 )
             )
         for r in dead_routines:
@@ -119,7 +118,7 @@ class TemplateBloatCheck(Check):
                     r,
                     f"routine '{r.fullName()}' instantiated from template "
                     f"'{t.fullName()}' has a generated body but no callers "
-                    f"({unused[t.ref]} of {totals[t.ref]} instantiations of this template unused)",
+                    f"({unused[t]} of {totals[t]} instantiations of this template unused)",
                 )
             )
         return findings

@@ -3,12 +3,13 @@
 A *check* is a whole-program pass over one (possibly merged) PDB through
 the DUCTAPE API.  Each check owns one or more *rules* with stable IDs
 (``PDT0xx``) and severities; running a check yields *findings*.  The
-:class:`CheckContext` precomputes the shared derived structures every
-pass needs — the reverse caller map, the derived-class map, per-file
-item counts, externally-referenced classes — once, in O(items), so no
-checker ever falls back to the O(routines × calls)
-:meth:`PDB.callers_of` scan.  That is what keeps the whole suite inside
-the E18 budget (< 2× a ``pdbtree`` walk of the same corpus).
+call graph and class hierarchy — callees, callers, derived classes —
+come from the PDB's program graph (:attr:`PDB.graph`), resolved once per
+PDB and shared with pdbtree and TAU.  The :class:`CheckContext` adds the
+structures only the checks need — per-file item counts and
+externally-referenced classes — each built in O(items), once per run.
+That is what keeps the whole suite inside the E18 budget (< 2× a
+``pdbtree`` walk of the same corpus).
 
 Determinism: checks run in registration order, findings are sorted by
 (file, line, column, rule, item), and every container iterates in PDB
@@ -22,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro import obs
-from repro.ductape.items import PdbClass, PdbRoutine, PdbSimpleItem
+from repro.ductape.items import PdbClass, PdbFile, PdbItem, PdbRoutine, PdbSimpleItem
 from repro.ductape.pdb import PDB
-from repro.pdbfmt.items import ItemRef
 
 #: severity levels, most severe first (SARIF ``level`` values)
 SEVERITIES = ("error", "warning", "note")
@@ -152,8 +152,8 @@ def resolve_selection(spec: Optional[Iterable[str] | str]) -> dict[str, set[str]
 class CheckContext:
     """Shared, precomputed derived structures over one PDB.
 
-    Everything is built lazily on first use and exactly once, so a
-    selection that only runs the include lints never pays for the call
+    Everything is built lazily on first use and exactly once per run, so
+    a selection that only runs the include lints never pays for the call
     graph.
     """
 
@@ -161,12 +161,9 @@ class CheckContext:
         self.pdb = pdb
         #: extra entry-point names for reachability (``main`` is implicit)
         self.entries = list(entries)
-        self._callees: Optional[dict[ItemRef, list[PdbRoutine]]] = None
-        self._callers: Optional[dict[ItemRef, list[PdbRoutine]]] = None
-        self._derived: Optional[dict[ItemRef, list[PdbClass]]] = None
-        self._class_refs: Optional[dict[ItemRef, set[ItemRef]]] = None
-        self._file_items: Optional[dict[ItemRef, int]] = None
-        self._type_classes: dict[ItemRef, list[PdbClass]] = {}
+        self._class_refs: Optional[dict[PdbClass, set[PdbSimpleItem]]] = None
+        self._file_items: Optional[dict[PdbFile, int]] = None
+        self._type_classes: dict[PdbSimpleItem, list[PdbClass]] = {}
 
     # each map is one O(items) sweep, replacing per-item O(n) scans
 
@@ -178,44 +175,8 @@ class CheckContext:
     def classes(self) -> list[PdbClass]:
         return self.pdb.getClassVec()
 
-    def callees_map(self) -> dict[ItemRef, list[PdbRoutine]]:
-        """routine ref -> resolved callees: the ``rcall`` records are
-        resolved exactly once, shared by the call-graph condensation
-        (deadcode) and the reverse map below (bloat)."""
-        if self._callees is None:
-            m: dict[ItemRef, list[PdbRoutine]] = {}
-            for r in self.routines:
-                m[r.ref] = [
-                    callee
-                    for callee in (call.call() for call in r.callees())
-                    if callee is not None
-                ]
-            self._callees = m
-        return self._callees
-
-    def callers_map(self) -> dict[ItemRef, list[PdbRoutine]]:
-        """callee ref -> callers, one pass over all ``rcall`` records."""
-        if self._callers is None:
-            m: dict[ItemRef, list[PdbRoutine]] = {}
-            callees = self.callees_map()
-            for r in self.routines:
-                for callee in callees[r.ref]:
-                    m.setdefault(callee.ref, []).append(r)
-            self._callers = m
-        return self._callers
-
-    def derived_map(self) -> dict[ItemRef, list[PdbClass]]:
-        """base-class ref -> directly derived classes."""
-        if self._derived is None:
-            m: dict[ItemRef, list[PdbClass]] = {}
-            for c in self.classes:
-                for _acs, _virt, base in c.baseClasses():
-                    m.setdefault(base.ref, []).append(c)
-            self._derived = m
-        return self._derived
-
-    def class_refs_map(self) -> dict[ItemRef, set[ItemRef]]:
-        """class ref -> refs of the *owners* that mention it.
+    def class_refs_map(self) -> dict[PdbClass, set[PdbSimpleItem]]:
+        """class -> the *owners* that mention it.
 
         An owner is the class a reference originates from (for member
         functions: their parent class; for free routines: the routine
@@ -224,23 +185,21 @@ class CheckContext:
         is *not* externally referenced — the bloat check's key subtlety.
         """
         if self._class_refs is None:
-            m: dict[ItemRef, set[ItemRef]] = {}
+            m: dict[PdbClass, set[PdbSimpleItem]] = {}
 
-            def note(cls_ref: ItemRef, owner: ItemRef) -> None:
-                m.setdefault(cls_ref, set()).add(owner)
+            def note(cls: PdbClass, owner: PdbSimpleItem) -> None:
+                m.setdefault(cls, set()).add(owner)
 
             for c in self.classes:
                 for _acs, _virt, base in c.baseClasses():
-                    note(base.ref, c.ref)
+                    note(base, c)
                 for mem in c.dataMembers():
-                    t = mem.type()
-                    for cls in self._classes_of_type(t):
-                        note(cls.ref, c.ref)
+                    for cls in self._classes_of_type(mem.type()):
+                        note(cls, c)
             for r in self.routines:
-                parent = r.parentClass()
-                owner = parent.ref if parent is not None else r.ref
+                owner = r.parentClass() or r
                 for cls in self._classes_of_type(r.signature()):
-                    note(cls.ref, owner)
+                    note(cls, owner)
             self._class_refs = m
         return self._class_refs
 
@@ -253,17 +212,17 @@ class CheckContext:
         """
         if t is None:
             return []
-        cached = self._type_classes.get(t.ref)
+        cached = self._type_classes.get(t)
         if cached is not None:
             return cached
         out: list[PdbClass] = []
-        seen: set[ItemRef] = set()
+        seen: set[PdbSimpleItem] = set()
         stack: list[PdbSimpleItem] = [t]
         while stack:
             cur = stack.pop()
-            if cur.ref in seen:
+            if cur in seen:
                 continue
-            seen.add(cur.ref)
+            seen.add(cur)
             if isinstance(cur, PdbClass):
                 out.append(cur)
                 continue
@@ -272,20 +231,18 @@ class CheckContext:
             nxt = [cur.referencedType(), cur.returnType()]  # type: ignore[attr-defined]
             nxt.extend(cur.argumentTypes())  # type: ignore[attr-defined]
             stack.extend(x for x in nxt if x is not None)
-        self._type_classes[t.ref] = out
+        self._type_classes[t] = out
         return out
 
-    def file_items_map(self) -> dict[ItemRef, int]:
-        """file ref -> number of PDB items whose location is in it."""
+    def file_items_map(self) -> dict[PdbFile, int]:
+        """file -> number of PDB items whose location is in it."""
         if self._file_items is None:
-            m: dict[ItemRef, int] = {}
+            m: dict[PdbFile, int] = {}
             for item in self.pdb.items():
-                loc_fn = getattr(item, "location", None)
-                if loc_fn is None:
-                    continue
-                loc = loc_fn()
-                if loc.known:
-                    m[loc.file().ref] = m.get(loc.file().ref, 0) + 1
+                if isinstance(item, PdbItem):
+                    f = item.location().file()
+                    if f is not None:
+                        m[f] = m.get(f, 0) + 1
             self._file_items = m
         return self._file_items
 

@@ -3,12 +3,13 @@
 :class:`~repro.ductape.callgraph.CallTree` finds its roots as "routines
 nobody calls" — so a mutually-recursive cluster with no external caller
 has *no* roots at all and the whole cluster silently disappears from
-every ``pdbtree`` rendering.  This check runs reachability over the
-Tarjan SCC condensation instead: entry points are ``main``, any
-user-supplied ``--entry`` names, and every acyclic routine nobody calls
-(the conservative equivalent of the tree roots — an uncalled plain
-routine may be an exported API).  What remains unreachable is exactly
-the set of cyclic orphan clusters and code only they can reach.
+every ``pdbtree`` rendering.  This check walks reachability from the
+entry points instead: ``main``, any user-supplied ``--entry`` names, and
+the call tree roots (an uncalled routine may be an exported API, and it
+cannot be cyclic: a self-call would make it its own caller).  What
+remains unreachable is exactly the set of cyclic orphan clusters and
+code only they can reach; a Tarjan SCC condensation of that remainder
+names each cluster.
 """
 
 from __future__ import annotations
@@ -32,31 +33,25 @@ class DeadCodeCheck(Check):
 
     def run(self, ctx: CheckContext) -> list[Finding]:
         routines = ctx.routines
-        by_ref = {r.ref: r for r in routines}
-        callees = ctx.callees_map()
-        succ_map = {
-            r.ref: [callee.ref for callee in callees[r.ref]] for r in routines
-        }
-        cond = Condensation([r.ref for r in routines], lambda ref: succ_map[ref])
-
+        graph = ctx.pdb.graph
         entry_names = {"main", *ctx.entries}
-        entry_comps = set()
-        for ci in range(len(cond.sccs)):
-            # acyclic, uncalled routines are the CallTree.roots analogue
-            if cond.comp_preds[ci] == 0 and not cond.is_cycle(ci):
-                entry_comps.add(ci)
-        for r in routines:
-            if r.name() in entry_names or r.fullName() in entry_names:
-                entry_comps.add(cond.comp_of[r.ref])
-        live = cond.reachable_from(entry_comps)
+        stack = graph.roots + [
+            r for r in routines if r.name() in entry_names or r.fullName() in entry_names
+        ]
+        live: set = set()
+        while stack:
+            r = stack.pop()
+            if r not in live:
+                live.add(r)
+                stack.extend(callee for callee, _virt, _site in graph.calls.get(r, ()))
+        dead = [r for r in routines if r not in live]
+        succ = {r: [callee for callee, _virt, _site in graph.calls[r]] for r in dead}
+        cond = Condensation(dead, succ.__getitem__)
 
         findings: list[Finding] = []
         for ci, comp in enumerate(cond.sccs):
-            if ci in live:
-                continue
-            cluster = [by_ref[ref] for ref in comp]
-            names = ", ".join(sorted(r.fullName() for r in cluster))
-            for r in cluster:
+            names = ", ".join(sorted(r.fullName() for r in comp))
+            for r in comp:
                 if cond.is_cycle(ci):
                     msg = (
                         f"routine '{r.fullName()}' is never reached: it belongs to a "

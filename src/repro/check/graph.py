@@ -2,8 +2,9 @@
 
 The call graph and the include graph both need strongly-connected
 components: a mutually-recursive routine cluster with no external entry
-has no :attr:`CallTree.roots` at all (every member is "called"), so
-reachability must run over the SCC condensation, not the raw graph.
+has no :attr:`CallTree.roots` at all (every member is "called"), and
+the dead-code check names each such cluster by its component; an
+include cycle is one component.
 
 Everything here is iterative — the E12 scaling corpora produce chains
 deep enough to blow Python's recursion limit — and deterministic: SCCs
@@ -82,7 +83,7 @@ def _succ_list(succ: Callable[[T], Iterable[T]], v: T, node_set: set[T]) -> list
 
 
 class Condensation:
-    """The SCC condensation DAG of a graph, with reachability helpers."""
+    """The SCC condensation DAG of a graph."""
 
     def __init__(self, nodes: Sequence[T], succ: Callable[[T], Iterable[T]]):
         self.nodes = list(nodes)
@@ -106,26 +107,8 @@ class Condensation:
                         self.self_loop[ci] = True
                 else:
                     self.comp_succ[ci].add(cj)
-        self.comp_preds: list[int] = [0] * len(self.sccs)
-        for ci, succs in enumerate(self.comp_succ):
-            for cj in succs:
-                self.comp_preds[cj] += 1
 
     def is_cycle(self, ci: int) -> bool:
         """Whether component ``ci`` contains a cycle (mutual recursion or
         a self-loop)."""
         return len(self.sccs[ci]) > 1 or self.self_loop[ci]
-
-    def reachable_from(self, entry_comps: Iterable[int]) -> set[int]:
-        """Component indices reachable from ``entry_comps`` (inclusive)."""
-        seen: set[int] = set()
-        stack = [ci for ci in entry_comps if ci not in seen]
-        for ci in stack:
-            seen.add(ci)
-        while stack:
-            ci = stack.pop()
-            for cj in self.comp_succ[ci]:
-                if cj not in seen:
-                    seen.add(cj)
-                    stack.append(cj)
-        return seen

@@ -35,11 +35,11 @@ class HierarchyCheck(Check):
     rules = (MISSING_VIRTUAL_DTOR, HIDDEN_VIRTUAL)
 
     def run(self, ctx: CheckContext) -> list[Finding]:
-        derived = ctx.derived_map()
+        derived = ctx.pdb.graph.derived
         findings: list[Finding] = []
 
         for c in ctx.classes:
-            if not derived.get(c.ref):
+            if not derived.get(c):
                 continue
             members = c.memberFunctions()
             if not any(m.isVirtual() for m in members):
@@ -57,7 +57,7 @@ class HierarchyCheck(Check):
                     item=c.fullName(),
                     message=(
                         f"polymorphic class '{c.fullName()}' has "
-                        f"{len(derived[c.ref])} derived class(es) but {what}"
+                        f"{len(derived[c])} derived class(es) but {what}"
                     ),
                     file=loc.file().name() if loc.known else None,
                     line=loc.line(),
@@ -126,13 +126,13 @@ class HierarchyCheck(Check):
 def _ancestors(c: PdbClass) -> list[PdbClass]:
     """All transitive base classes, iteratively, cycle-safe."""
     out: list[PdbClass] = []
-    seen = {c.ref}
+    seen = {c}
     stack = [b for _a, _v, b in c.baseClasses()]
     while stack:
         b = stack.pop()
-        if b.ref in seen:
+        if b in seen:
             continue
-        seen.add(b.ref)
+        seen.add(b)
         out.append(b)
         stack.extend(bb for _a, _v, bb in b.baseClasses())
     return out

@@ -35,16 +35,15 @@ class IncludeCheck(Check):
 
     def run(self, ctx: CheckContext) -> list[Finding]:
         files = ctx.pdb.getFileVec()
-        by_ref = {f.ref: f for f in files}
-        succ = {f.ref: [inc.ref for inc in f.includes()] for f in files}
+        succ = {f: f.includes() for f in files}
         item_counts = ctx.file_items_map()
         findings: list[Finding] = []
 
-        cond = Condensation([f.ref for f in files], lambda ref: succ[ref])
+        cond = Condensation(files, succ.__getitem__)
         for ci, comp in enumerate(cond.sccs):
             if not cond.is_cycle(ci):
                 continue
-            names = [by_ref[ref].name() for ref in comp]
+            names = [f.name() for f in comp]
             path = " -> ".join([*names, names[0]])
             findings.append(
                 Finding(
@@ -61,22 +60,22 @@ class IncludeCheck(Check):
         # contributes; propagate over the condensation (cycle-safe)
         contributes: dict[int, bool] = {}
         for ci in range(len(cond.sccs)):  # reverse topological order
-            val = any(item_counts.get(ref, 0) > 0 for ref in cond.sccs[ci])
+            val = any(item_counts.get(f, 0) > 0 for f in cond.sccs[ci])
             val = val or any(contributes[cj] for cj in cond.comp_succ[ci])
             contributes[ci] = val
 
         included_by: dict = {}
         for f in files:
-            for inc in f.includes():
-                included_by.setdefault(inc.ref, []).append(f)
+            for inc in succ[f]:
+                included_by.setdefault(inc, []).append(f)
         for f in files:
-            if f.ref not in included_by:
+            if f not in included_by:
                 continue  # a root (translation unit), not an include
             if f.isSystem():
                 continue
-            if contributes[cond.comp_of[f.ref]]:
+            if contributes[cond.comp_of[f]]:
                 continue
-            includers = ", ".join(sorted(i.name() for i in included_by[f.ref]))
+            includers = ", ".join(sorted(i.name() for i in included_by[f]))
             findings.append(
                 Finding(
                     rule=UNUSED_INCLUDE,

@@ -22,7 +22,7 @@ merging, item vectors, the source-file inclusion tree, the static call
 tree, and the class hierarchy.  "Attributes of items representing
 references to other entities are implemented by pointers to the
 corresponding objects, allowing easy navigation" — here, plain Python
-references resolved once at load time.
+references, each resolved on first touch and memoised, once per PDB.
 """
 
 from repro.ductape.items import (

@@ -21,14 +21,8 @@ class CallTree:
     def __init__(self, pdb: "PDB"):
         self.pdb = pdb
         self.routines = pdb.getRoutineVec()
-        called = set()
-        for r in self.routines:
-            for c in r.callees():
-                callee = c.call()
-                if callee is not None:
-                    called.add(callee.ref)
         #: routines nobody calls — the tree roots (main among them)
-        self.roots = [r for r in self.routines if r.ref not in called]
+        self.roots = list(pdb.graph.roots)
 
     def root_named(self, name: str) -> Optional[PdbRoutine]:
         for r in self.roots:
@@ -46,10 +40,11 @@ class CallTree:
         explicit-stack DFS: call chains from the scaling corpora go
         deeper than Python's recursion limit allows a recursive
         generator to."""
+        callees_of = self.pdb.graph.calls
         yield root, -1, False, False
         root.flag(ACTIVE)
         stack: list[tuple[PdbRoutine, Iterator, int]] = [
-            (root, iter(root.callees()), 0)
+            (root, iter(callees_of[root]), 0)
         ]
         try:
             while stack:
@@ -59,14 +54,12 @@ class CallTree:
                     stack.pop()
                     r.flag(INACTIVE)
                     continue
-                callee = call.call()
-                if callee is None:
-                    continue
+                callee, virtual, _site = call
                 cyclic = callee.flag() == ACTIVE
-                yield callee, depth, call.isVirtual(), cyclic
+                yield callee, depth, virtual, cyclic
                 if not cyclic:
                     callee.flag(ACTIVE)
-                    stack.append((callee, iter(callee.callees()), depth + 1))
+                    stack.append((callee, iter(callees_of[callee]), depth + 1))
         finally:
             # a closed (abandoned) generator must still reset the flags
             for r, _calls, _depth in stack:

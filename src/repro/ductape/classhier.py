@@ -17,25 +17,23 @@ class ClassHierarchy:
         self.pdb = pdb
         self.classes = pdb.getClassVec()
         #: classes with no bases — hierarchy roots
-        self.roots = [c for c in self.classes if not c.baseClasses()]
+        self.roots = list(pdb.graph.class_roots)
         #: memo for :meth:`depth_of` (class ref -> depth)
         self._depths: dict = {}
 
-    def derived(self, cls: PdbClass) -> list[PdbClass]:
-        return cls.derivedClasses()
-
     def walk(self, root: PdbClass) -> Iterator[tuple[PdbClass, int]]:
+        """Pre-order (class, depth) pairs; a class reached again is not
+        descended into.  An explicit stack: chains may be very deep."""
+        derived = self.pdb.graph.derived
         seen: set = set()
-
-        def rec(c: PdbClass, depth: int):
+        stack = [(root, 0)]
+        while stack:
+            c, depth = stack.pop()
             yield c, depth
-            if c.ref in seen:
-                return
-            seen.add(c.ref)
-            for d in self.derived(c):
-                yield from rec(d, depth + 1)
-
-        yield from rec(root, 0)
+            if c in seen:
+                continue
+            seen.add(c)
+            stack.extend((d, depth + 1) for d in reversed(derived.get(c, ())))
 
     def depth_of(self, cls: PdbClass) -> int:
         """Longest base-class chain above ``cls``.

@@ -1,13 +1,19 @@
 """DUCTAPE item classes — the hierarchy of paper Figure 4.
 
-Wrappers over :class:`repro.pdbfmt.items.RawItem` records.  Cross-item
-references resolve to object pointers when the owning :class:`PDB`
-finishes loading (``_link``), after which navigation is attribute access.
+Wrappers over :class:`repro.pdbfmt.items.RawItem` records.  The
+cross-item references the tools follow over and over — single refs
+(``_ref_attr``: parents, signature, template), body positions and the
+qualified name — resolve on first touch and are memoised on the
+wrapper, so each resolves once per :class:`PDB`; resolved calls,
+callers, derived classes and roots live in the PDB's lazily built
+program graph (:class:`~repro.ductape.graph.ProgramGraph`).
+``PDB._reindex`` (run by merge) drops the wrappers and the graph.  A
+list-valued query returns a fresh list.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.pdbfmt.items import Attribute, ItemRef, RawItem
 
@@ -53,6 +59,11 @@ class PdbSimpleItem:
         self._pdb = pdb
         self._raw = raw
         self._flag = INACTIVE
+        #: attribute key -> its resolved value: the item (``_ref_attr``)
+        #: or the body positions; each key has one grammar, so it has
+        #: one entry.  ``"fullName"`` (no attribute key) holds the
+        #: qualified name.
+        self._memo: dict = {}
 
     def name(self) -> str:
         return self._raw.name
@@ -88,14 +99,18 @@ class PdbSimpleItem:
         return self._pdb.item(ref)
 
     def _ref_attr(self, key: str):
-        return self._resolve(self._raw.get_ref(key))
+        """The item the first ``key`` line names (None if absent or
+        dangling)."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = self._resolve(self._raw.get_ref(key))
+        return memo[key]
 
-    def _loc_attr(self, key: str) -> PdbLoc:
-        a = self._raw.get(key)
-        if a is None or len(a.words) < 3 or a.words[0] == "NULL":
-            return PdbLoc(None, 0, 0)
-        f = self._resolve(ItemRef.parse(a.words[0]))
-        return PdbLoc(f, int(a.words[1]), int(a.words[2]))
+    def _ref_list(self, key: str) -> list:
+        """The items the ``key`` lines name, in order, dangling refs left
+        out."""
+        resolved = (self._resolve(ItemRef.parse(a.words[0])) for a in self._raw.get_all(key))
+        return [x for x in resolved if x is not None]
 
     def _loc_from_words(self, words: list[str]) -> PdbLoc:
         if len(words) < 3 or words[0] == "NULL":
@@ -106,9 +121,6 @@ class PdbSimpleItem:
         w = self._raw.first_word(key)
         return w if w is not None else default
 
-    def _link(self) -> None:
-        """Resolve references after the whole PDB is indexed."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self._raw.prefix}#{self._raw.id} {self.fullName()}>"
 
@@ -117,12 +129,7 @@ class PdbFile(PdbSimpleItem):
     """A source file (``so``), with its direct inclusions."""
 
     def includes(self) -> list["PdbFile"]:
-        out = []
-        for a in self._raw.get_all("sinc"):
-            f = self._resolve(ItemRef.parse(a.words[0]))
-            if f is not None:
-                out.append(f)
-        return out
+        return self._ref_list("sinc")
 
     def isSystem(self) -> bool:
         return self._word_attr("ssys") == "yes"
@@ -137,23 +144,14 @@ class PdbItem(PdbSimpleItem):
     _acs_key = ""
 
     def location(self) -> PdbLoc:
-        return self._loc_attr(self._loc_key)
+        a = self._raw.get(self._loc_key)
+        return self._loc_from_words(a.words if a else [])
 
     def parentClass(self) -> Optional["PdbClass"]:
-        # cached: raw parent refs never change during a wrapper's life
-        # (merge clones items and rebuilds every wrapper via _reindex)
-        if "_parent_class" not in self.__dict__:
-            self.__dict__["_parent_class"] = (
-                self._ref_attr(self._class_key) if self._class_key else None
-            )
-        return self.__dict__["_parent_class"]
+        return self._ref_attr(self._class_key) if self._class_key else None
 
     def parentNamespace(self) -> Optional["PdbNamespace"]:
-        if "_parent_nspace" not in self.__dict__:
-            self.__dict__["_parent_nspace"] = (
-                self._ref_attr(self._nspace_key) if self._nspace_key else None
-            )
-        return self.__dict__["_parent_nspace"]
+        return self._ref_attr(self._nspace_key) if self._nspace_key else None
 
     def parent(self) -> Optional[PdbSimpleItem]:
         return self.parentClass() or self.parentNamespace()
@@ -162,7 +160,7 @@ class PdbItem(PdbSimpleItem):
         return self._word_attr(self._acs_key, "NA") if self._acs_key else "NA"
 
     def fullName(self) -> str:
-        cached = self.__dict__.get("_full_name")
+        cached = self._memo.get("fullName")
         if cached is not None:
             return cached
         parts = [self.name()]
@@ -173,7 +171,7 @@ class PdbItem(PdbSimpleItem):
             p = p.parent() if isinstance(p, PdbItem) else None
             guard += 1
         full = "::".join(reversed(parts))
-        self.__dict__["_full_name"] = full
+        self._memo["fullName"] = full
         return full
 
 
@@ -245,12 +243,7 @@ class PdbType(PdbItem):
         return self._ref_attr("yrett")
 
     def argumentTypes(self) -> list[PdbSimpleItem]:
-        out = []
-        for a in self._raw.get_all("yargt"):
-            t = self._resolve(ItemRef.parse(a.words[0]))
-            if t is not None:
-                out.append(t)
-        return out
+        return self._ref_list("yargt")
 
     def hasEllipsis(self) -> bool:
         return self._word_attr("yellip") == "yes"
@@ -260,12 +253,7 @@ class PdbType(PdbItem):
         return a is not None and "const" in a.words
 
     def exceptionTypes(self) -> list[PdbSimpleItem]:
-        out = []
-        for a in self._raw.get_all("yexcep"):
-            t = self._resolve(ItemRef.parse(a.words[0]))
-            if t is not None:
-                out.append(t)
-        return out
+        return self._ref_list("yexcep")
 
     def enumerators(self) -> list[tuple[str, int]]:
         out = []
@@ -293,7 +281,7 @@ class PdbFatItem(PdbItem):
         return self._pos_loc(3)
 
     def _pos_loc(self, index: int) -> PdbLoc:
-        resolved = self.__dict__.get("_pos_locs")
+        resolved = self._memo.get(self._pos_key)
         if resolved is None:
             locs = self._raw.get_positions(self._pos_key) or []
             resolved = [
@@ -304,7 +292,7 @@ class PdbFatItem(PdbItem):
                 )
                 for loc in locs
             ]
-            self.__dict__["_pos_locs"] = resolved
+            self._memo[self._pos_key] = resolved
         if index >= len(resolved):
             return PdbLoc(None, 0, 0)
         return resolved[index]
@@ -345,12 +333,7 @@ class PdbNamespace(PdbFatItem):
     _pos_key = "npos"
 
     def members(self) -> list[PdbSimpleItem]:
-        out = []
-        for a in self._raw.get_all("nmem"):
-            m = self._resolve(ItemRef.parse(a.words[0]))
-            if m is not None:
-                out.append(m)
-        return out
+        return self._ref_list("nmem")
 
     def aliases(self) -> list[tuple[str, "PdbNamespace"]]:
         out = []
@@ -380,21 +363,22 @@ class PdbTemplateItem(PdbFatItem):
         return self._word_attr(self._specl_key) == "yes"
 
 
-class PdbCall:
-    """One ``rcall`` record: callee + virtual flag + call location."""
+class PdbCall(NamedTuple):
+    """One ``rcall`` record, resolved once: the callee (None when its
+    ref dangles), the virtual flag and the call location."""
 
-    def __init__(self, owner: "PdbRoutine", attr: Attribute):
-        self._owner = owner
-        self._attr = attr
+    callee: Optional["PdbRoutine"]
+    virtual: bool
+    loc: PdbLoc
 
     def call(self) -> Optional["PdbRoutine"]:
-        return self._owner._resolve(ItemRef.parse(self._attr.words[0]))
+        return self.callee
 
     def isVirtual(self) -> bool:
-        return len(self._attr.words) > 1 and self._attr.words[1] == "virt"
+        return self.virtual
 
     def location(self) -> PdbLoc:
-        return self._owner._loc_from_words(self._attr.words[2:5])
+        return self.loc
 
 
 class PdbRoutine(PdbTemplateItem):
@@ -449,7 +433,7 @@ class PdbRoutine(PdbTemplateItem):
         for a in self._raw.get_all("rarg"):
             if not a.words:
                 continue
-            t = self._resolve(ItemRef.parse(a.words[0])) if a.words[0] != "NULL" else None
+            t = self._resolve(ItemRef.parse(a.words[0]))
             name = a.words[1] if len(a.words) > 1 else "_"
             has_default = len(a.words) > 2 and a.words[2] == "D"
             out.append((t, name, has_default))
@@ -459,8 +443,16 @@ class PdbRoutine(PdbTemplateItem):
         return sum(1 for _, _, d in self.parameters() if not d)
 
     def callees(self) -> list[PdbCall]:
-        """The functions this routine calls (Figure 5's ``callvec``)."""
-        return [PdbCall(self, a) for a in self._raw.get_all("rcall")]
+        """The functions this routine calls (Figure 5's ``callvec``), one
+        record per ``rcall`` line, unresolved callees included."""
+        return [
+            PdbCall(
+                self._resolve(ItemRef.parse(a.words[0])),
+                len(a.words) > 1 and a.words[1] == "virt",
+                self._loc_from_words(a.words[2:5]),
+            )
+            for a in self._raw.get_all("rcall")
+        ]
 
     def callers(self) -> list["PdbRoutine"]:
         return self._pdb.callers_of(self)
@@ -525,28 +517,13 @@ class PdbClass(PdbTemplateItem):
         return self._pdb.derived_of(self)
 
     def friendClasses(self) -> list["PdbClass"]:
-        out = []
-        for a in self._raw.get_all("cfriend"):
-            c = self._resolve(ItemRef.parse(a.words[0]))
-            if c is not None:
-                out.append(c)
-        return out
+        return self._ref_list("cfriend")
 
     def friendRoutines(self) -> list[PdbRoutine]:
-        out = []
-        for a in self._raw.get_all("cfrfunc"):
-            r = self._resolve(ItemRef.parse(a.words[0]))
-            if r is not None:
-                out.append(r)
-        return out
+        return self._ref_list("cfrfunc")
 
     def memberFunctions(self) -> list[PdbRoutine]:
-        out = []
-        for a in self._raw.get_all("cfunc"):
-            r = self._resolve(ItemRef.parse(a.words[0]))
-            if r is not None:
-                out.append(r)
-        return out
+        return self._ref_list("cfunc")
 
     def dataMembers(self) -> list[PdbMember]:
         """The ``cmem`` groups: each member with its cm* detail lines."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.ductape.graph import ProgramGraph
 from repro.ductape.items import (
     ITEM_CLASSES,
     PdbClass,
@@ -81,13 +82,18 @@ class PDB:
         return cls(analyze(tree))
 
     def _reindex(self) -> None:
-        """Rebuild the raw id index and drop materialised wrappers
-        (wrappers cache resolved cross-references, which merge can
-        invalidate).  Deliberately cheap: no ItemRef or wrapper is
-        created here — both happen lazily on first access."""
+        """Rebuild the raw id index and drop materialised wrappers, the
+        item vectors and the program graph (all hold resolved
+        cross-references, which merge can invalidate).  Deliberately
+        cheap: no ItemRef, wrapper or graph is created here — each
+        happens lazily on first access."""
         self._wrappers.clear()
+        #: prefix -> items in file order, built on the first _vec call
+        self._vecs: dict[str, list] = {}
         #: prefix -> name -> item, built on the first find* lookup
         self._by_name: dict[str, dict[str, PdbSimpleItem]] = {}
+        #: the program graph, built on the first :attr:`graph` access
+        self._graph: Optional[ProgramGraph] = None
         raw_index: dict[str, dict[int, RawItem]] = {}
         for raw in self.doc.items:
             sub = raw_index.get(raw.prefix)
@@ -125,8 +131,13 @@ class PDB:
         return [item(raw.ref) for raw in self.doc.items]
 
     def _vec(self, prefix: str) -> list:
-        item = self.item
-        return [item(raw.ref) for raw in self.doc.items if raw.prefix == prefix]
+        vec = self._vecs.get(prefix)
+        if vec is None:
+            item = self.item
+            vec = self._vecs[prefix] = [
+                item(raw.ref) for raw in self.doc.items if raw.prefix == prefix
+            ]
+        return list(vec)
 
     def getFileVec(self) -> list[PdbFile]:
         return self._vec("so")
@@ -176,19 +187,21 @@ class PDB:
 
     # -- derived structure queries ----------------------------------------------
 
+    @property
+    def graph(self) -> ProgramGraph:
+        """The static call graph and class hierarchy, built on first
+        access and shared by every caller until the next merge."""
+        if self._graph is None:
+            self._graph = ProgramGraph(self)
+        return self._graph
+
     def callers_of(self, routine: PdbRoutine) -> list[PdbRoutine]:
-        out = []
-        for r in self.getRoutineVec():
-            if any(c.call() is routine for c in r.callees()):
-                out.append(r)
-        return out
+        """The routines that call ``routine``, each once, in file order."""
+        return list(self.graph.callers.get(routine, ()))
 
     def derived_of(self, cls: PdbClass) -> list[PdbClass]:
-        out = []
-        for c in self.getClassVec():
-            if any(base is cls for _, _, base in c.baseClasses()):
-                out.append(c)
-        return out
+        """The direct subclasses of ``cls``, in file order."""
+        return list(self.graph.derived.get(cls, ()))
 
     def getInclusionTree(self):
         from repro.ductape.inclusion import InclusionTree

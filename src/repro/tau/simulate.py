@@ -9,9 +9,9 @@ Two engines produce identical profiles (cross-checked by tests):
 
 * :meth:`ExecutionSimulator.run_traced` — direct recursive
   interpretation, calling ``Profiler.start``/``advance``/``stop`` per
-  simulated invocation; also emits trace events.  Call sites are
-  resolved once per routine per run (its timer, own cost per node and
-  ``[(callee, count)]`` list, linked on first descent), so the cost per
+  simulated invocation; also emits trace events.  Each routine is
+  linked once per run (its timer, own cost per node and
+  ``[(callee, count)]`` list, on first descent), so the cost per
   simulated call is the runtime and trace work alone; the total stays
   proportional to the number of simulated calls.
 * :meth:`ExecutionSimulator.run` — closed-form evaluation: each
@@ -19,6 +19,9 @@ Two engines produce identical profiles (cross-checked by tests):
   node and scaled by trip counts.  Cost: proportional to the size of the
   call graph, so million-iteration workloads are instant.
 
+Both read their call sites from the PDB's program graph
+(:attr:`PDB.graph`), resolved once per PDB; what a simulator adds per
+run is the spec's trip count for each site and each routine's cost.
 Recursive cycles are cut after one level (the recursive call charges its
 own cost but does not recurse further), deterministically in both
 engines.
@@ -122,13 +125,6 @@ def name_all_defined(r: PdbRoutine) -> Optional[str]:
     return f"{r.fullName()}{sig_text}"
 
 
-def _site_of(call) -> Optional[tuple[str, int]]:
-    loc = call.location()
-    if not loc.known:
-        return None
-    return (loc.file().name(), loc.line())
-
-
 @dataclass
 class _Effect:
     """Closed-form subtree effect of one routine invocation."""
@@ -224,28 +220,27 @@ class ExecutionSimulator:
         return profiler
 
     def _plan(self, r: PdbRoutine, plans: dict) -> _Plan:
-        plan = plans.get(r.ref)
+        plan = plans.get(r)
         if plan is None:
             name, cost = r.fullName(), self.spec.cost.cost
-            plan = _Plan(r, [cost(name, node) for node in range(self.spec.nodes)])
-            plans[r.ref] = plan
+            plan = plans[r] = _Plan(r, [cost(name, node) for node in range(self.spec.nodes)])
         return plan
 
-    def _link(self, plan: _Plan, plans: dict) -> list:
-        """Resolve ``plan``'s call sites: unresolved callees and sites
-        that run zero times are dropped."""
-        r = plan.routine
-        caller = r.fullName()
-        calls = []
-        for call in r.callees():
-            callee = call.call()
-            if callee is None:
-                continue
-            n = self.spec.count(caller, callee.fullName(), _site_of(call))
+    def _trips(self, r: PdbRoutine) -> list[tuple[PdbRoutine, int]]:
+        """``r``'s call sites as ``[(callee, trip count)]``, in ``rcall``
+        order; unresolved callees and sites that run zero times are
+        dropped."""
+        caller, count = r.fullName(), self.spec.count
+        trips = []
+        for callee, _virtual, site in self.pdb.graph.calls[r]:
+            n = count(caller, callee.fullName(), site)
             if n > 0:
-                calls.append((self._plan(callee, plans), n))
-        plan.calls = calls
-        return calls
+                trips.append((callee, n))
+        return trips
+
+    def _link(self, plan: _Plan, plans: dict) -> list:
+        plan.calls = [(self._plan(c, plans), n) for c, n in self._trips(plan.routine)]
+        return plan.calls
 
     def _walk(
         self,
@@ -302,8 +297,7 @@ class ExecutionSimulator:
     def run(self) -> Profiler:
         profiler = Profiler()
         for node in range(self.spec.nodes):
-            memo: dict = {}
-            effect = self._effect(self._entry, node, memo, frozenset())
+            effect, _cut = self._effect_cut(self._entry, node, {}, frozenset())
             prof = profiler.profile(node=node)
             prof.advance(effect.span)
             for name, (calls, subrs, incl, excl) in effect.deltas.items():
@@ -315,23 +309,18 @@ class ExecutionSimulator:
             prof.check_consistency()
         return profiler
 
-    def _effect(self, r: PdbRoutine, node: int, memo: dict, active: frozenset) -> _Effect:
-        e, _cut = self._effect_cut(r, node, memo, active)
-        return e
-
     def _effect_cut(
         self, r: PdbRoutine, node: int, memo: dict, active: frozenset
     ) -> tuple[_Effect, bool]:
         """Returns (effect, cut): ``cut`` marks that a recursion cut
         happened within, in which case the effect depends on ``active``
         and must not be memoised."""
-        key = r.ref
-        cached = memo.get(key)
+        cached = memo.get(r)
         if cached is not None:
             return cached, False
         cost = self.spec.cost.cost(r.fullName(), node)
         timer = self._timer(r)
-        if key in active:
+        if r in active:
             # recursion cut: own cost only, no further descent.  The
             # re-activation is nested inside the same timer, so it
             # contributes calls and exclusive time but no inclusive time
@@ -347,14 +336,8 @@ class ExecutionSimulator:
         child_starts = 0
         any_cut = False
         deltas: dict[str, list[float]] = {}
-        for call in r.callees():
-            callee = call.call()
-            if callee is None:
-                continue
-            n = self.spec.count(r.fullName(), callee.fullName(), _site_of(call))
-            if n <= 0:
-                continue
-            ce, cut = self._effect_cut(callee, node, memo, active | {key})
+        for callee, n in self._trips(r):
+            ce, cut = self._effect_cut(callee, node, memo, active | {r})
             any_cut = any_cut or cut
             child_span += n * ce.span
             child_timed += n * ce.timed_top
@@ -379,5 +362,5 @@ class ExecutionSimulator:
             e.timed_top = child_timed
             e.top_starts = child_starts
         if not any_cut:
-            memo[key] = e
+            memo[r] = e
         return e, any_cut

@@ -5,7 +5,8 @@ trees (paper Table 2).
 routine the paper reproduces in Figure 5, including its quirks: the
 ``level != 0 || rr->callees().size()`` leaf filter at the root level, the
 ``(VIRTUAL)`` tag on virtual call sites, and the `` ... `` marker where
-the ACTIVE flag cuts recursion on cycles.
+the ACTIVE flag cuts recursion on cycles.  Its recursion is an explicit
+stack over the PDB's program graph, so call chains may be very deep.
 """
 
 from __future__ import annotations
@@ -19,25 +20,29 @@ from repro.ductape.pdb import PDB
 
 def print_func_tree(r: PdbRoutine, level: int, out: list[str]) -> None:
     """Port of paper Figure 5's printFuncTree (output into ``out``)."""
+    calls = r._pdb.graph.calls
     r.flag(ACTIVE)
-    c = r.callees()
-    for it in c:  # (1) iterate over functions called by the current one
-        rr = it.call()
-        if rr is None:
-            continue
-        if level != 0 or len(rr.callees()) > 0:
-            line = " " * max(0, (level - 1) * 5)
-            if level:
-                line += "`--> "
-            line += rr.fullName()  # (2) report the callee
-            if it.isVirtual():
-                line += " (VIRTUAL)"
-            if rr.flag() == ACTIVE:
-                out.append(line + " ... ")
-            else:
-                out.append(line)
-                print_func_tree(rr, level + 1, out)  # (3) recurse
-    r.flag(INACTIVE)
+    stack = [(r, iter(calls[r]), level)]
+    while stack:
+        r, it, level = stack[-1]
+        for rr, virtual, _site in it:  # (1) functions the current one calls
+            if level != 0 or rr.callees():
+                line = " " * max(0, (level - 1) * 5)
+                if level:
+                    line += "`--> "
+                line += rr.fullName()  # (2) report the callee
+                if virtual:
+                    line += " (VIRTUAL)"
+                if rr.flag() == ACTIVE:
+                    out.append(line + " ... ")
+                else:
+                    out.append(line)
+                    rr.flag(ACTIVE)  # (3) descend
+                    stack.append((rr, iter(calls[rr]), level + 1))
+                    break
+        else:
+            stack.pop()
+            r.flag(INACTIVE)
 
 
 def render_call_tree(pdb: PDB, root_name: Optional[str] = None) -> str:

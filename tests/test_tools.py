@@ -1,6 +1,8 @@
 """Tool tests: pdbconv, pdbtree, pdbhtml, pdbmerge, cxxparse CLIs."""
 
 
+import hashlib
+
 import pytest
 
 from repro.analyzer import analyze
@@ -134,6 +136,59 @@ class TestPdbTree:
         src = tmp_path / "x.pdb"
         src.write_text(stack_pdb.to_text())
         assert main([str(src), "-t", "calls", "-r", "main"]) == 0
+
+
+def _sha(lines) -> str:
+    """sha256 of ``"\n".join(lines)``, without building the string."""
+    h = hashlib.sha256()
+    for i, line in enumerate(lines):
+        h.update(((i and "\n" or "") + line).encode())
+    return h.hexdigest()
+
+
+class TestDepthLadder:
+    """pdbtree on chains far deeper than the recursion limit: the call
+    tree and the class tree are explicit-stack walks, and print what the
+    recursive Figure 5 port printed on shallower chains — indentation,
+    ``(VIRTUAL)`` tags and the ACTIVE-flag `` ... `` cycle marker."""
+
+    @staticmethod
+    def call_chain(n: int) -> PDB:
+        """f0 -> f1 -> ... -> fn, every 7th call virtual, and fn calls f1
+        back (a cycle below the root)."""
+        parts = ["<PDB 1.0>", "", "so#1 t.cpp", ""]
+        for i in range(n + 1):
+            callee = i + 2 if i < n else 2
+            virt = "virt" if callee % 7 == 0 else "no"
+            parts += [f"ro#{i + 1} f{i}", f"rloc so#1 {i + 1} 1",
+                      f"rcall ro#{callee} {virt} so#1 {i + 1} 5", ""]
+        return PDB.from_text("\n".join(parts))
+
+    @pytest.mark.parametrize("depth", [1200, 5000])
+    def test_call_tree(self, depth):
+        pdb = self.call_chain(depth)
+
+        def line(level: int, name: int) -> str:
+            virt = " (VIRTUAL)" if (name + 1) % 7 == 0 else ""
+            return " " * ((level - 1) * 5) + f"`--> f{name}{virt}"
+
+        # the cycle marker is " ... "; the rendering strips its last blank
+        want = ["f0", *(line(level, level) for level in range(1, depth + 1)),
+                line(depth + 1, 1) + " ..."]
+        assert hashlib.sha256(render_call_tree(pdb).encode()).hexdigest() == _sha(want)
+        assert all(r.flag() == 0 for r in pdb.getRoutineVec())
+
+    @pytest.mark.parametrize("depth", [1200, 5000])
+    def test_class_tree(self, depth):
+        parts = ["<PDB 1.0>", "", "so#1 t.h", ""]
+        for i in range(depth + 1):
+            parts += [f"cl#{i + 1} C{i}", f"cloc so#1 {i + 1} 1"]
+            if i:
+                parts.append(f"cbase pub no cl#{i}")
+            parts.append("")
+        pdb = PDB.from_text("\n".join(parts))
+        want = ["C0", *("    " * i + f"`--> C{i}" for i in range(1, depth + 1))]
+        assert hashlib.sha256(render_class_tree(pdb).encode()).hexdigest() == _sha(want)
 
 
 class TestPdbHtml:

@@ -15,7 +15,8 @@ collide across routines with different groups.
 
 ``ExecutionSimulator.run_traced`` must give the oracle's
 per-(n,c,t) :class:`TimerStats` (in creation order), clock and stack
-depth, and the same :class:`TraceBuffer` events and ``dropped`` count.
+depth, and the same :class:`TraceBuffer` events and ``dropped`` count;
+``ExecutionSimulator.run`` must give the closed-form oracle's.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.tau.selector import select_instrumentation
 from repro.tau.simulate import ExecutionSimulator, TauNaming, WorkloadSpec
 from repro.tau.tracing import TraceBuffer
 
+from tests.tau_oracle import run as oracle_run
 from tests.tau_oracle import run_traced as oracle_run_traced
 
 FILES = ("a.h", "b.cpp")
@@ -173,6 +175,27 @@ def test_traced_engine_matches_per_call_oracle(case):
     if want_trace is not None:
         assert got_trace.events == want_trace.events
         assert got_trace.dropped == want_trace.dropped
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=cases())
+def test_closed_form_engine_matches_per_call_oracle(case):
+    """``run`` reads its call sites from the program graph; per timer and
+    node it must give the per-visit resolution's exact stats, or fail the
+    same profile consistency check (colliding timer names can)."""
+    pdb, spec, namer, group, _run, _buffer_size = case
+
+    def outcome(run) -> object:
+        try:
+            return _snapshot(run(ExecutionSimulator(pdb, spec, namer=namer, group=group)))
+        except AssertionError as e:
+            return str(e)
+
+    assert outcome(ExecutionSimulator.run) == outcome(oracle_run)
 
 
 def test_one_simulator_runs_twice_like_the_oracle():
