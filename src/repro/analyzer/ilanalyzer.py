@@ -167,12 +167,12 @@ class ILAnalyzer:
             "ma": emit_macros,
         }
         for p in self.passes:
-            with obs.observe(f"analyze.{p}", cat="analyzer"):
+            with obs.observe(f"analyzer.{p}", cat="analyzer"):
                 dispatch[p](self)
         # Assemble the document in pass order; demand-created items (types
         # referenced from signatures, files referenced from locations)
         # appear with their kind group, ordered by id.
-        with obs.observe("analyze.assemble", cat="analyzer"):
+        with obs.observe("analyzer.assemble", cat="analyzer"):
             for prefix in DEFAULT_PASSES:
                 for item in sorted(self._created[prefix], key=lambda i: i.id):
                     self.doc.add(item)

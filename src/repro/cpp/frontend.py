@@ -120,10 +120,12 @@ class Frontend:
         try:
             src = self.manager.load(main_file)
             tree.main_file = src
-            # phase-scoped self-observability (no-ops unless repro.obs
-            # has an observer installed); binding is interleaved with
-            # parsing, so its time reports under frontend.parse
-            with obs.observe("frontend.preprocess", cat="frontend", file=main_file):
+            # phase-scoped self-observability (spans are collected only
+            # while repro.obs has an observer installed); binding is
+            # interleaved with parsing, so its time reports under
+            # cpp.parse, and the engine times its own drains under
+            # cpp.instantiate (nested in cpp.parse when the parser drains)
+            with obs.observe("cpp.preprocess", cat="cpp", file=main_file):
                 tokens = pp.preprocess(src)
             engine = InstantiationEngine(
                 tree, tokens, sink, self.options.instantiation_mode
@@ -131,10 +133,9 @@ class Frontend:
             self.last_engine = engine
             binder = Binder(tree)
             parser = Parser(tokens, tree, binder, sink, engine)
-            with obs.observe("frontend.parse", cat="frontend", file=main_file):
+            with obs.observe("cpp.parse", cat="cpp", file=main_file):
                 parser.parse_translation_unit()
-            with obs.observe("frontend.instantiate", cat="frontend", file=main_file):
-                engine.drain()
+            engine.drain()
         except TooManyErrors:
             # cascade bound hit: the sink already holds every diagnostic;
             # degrade to whatever IL was built before giving up

@@ -35,6 +35,7 @@ import enum
 from collections import deque
 from typing import Optional
 
+from repro import obs
 from repro.cpp.cpptypes import (
     ArrayType,
     ClassType,
@@ -93,6 +94,7 @@ class InstantiationEngine:
         self._class_bindings: dict[int, dict[str, Type]] = {}
         self._worklist: deque[Routine] = deque()
         self._in_worklist: set[int] = set()
+        self._draining = False
         #: prelinker request log: (template name, arg spellings, location)
         self.prelink_requests: list[tuple[str, tuple[str, ...], SourceLocation]] = []
         #: counters for the E10/E11 benches
@@ -266,7 +268,26 @@ class InstantiationEngine:
         return False
 
     def drain(self) -> None:
-        """Process pending body instantiations to a fixed point."""
+        """Process pending body instantiations to a fixed point.
+
+        The parser drains after every top-level declaration, so most
+        drains find nothing to do.  A non-empty outermost drain is one
+        ``cpp.instantiate`` span; a drain nested in it (a body whose
+        parse drains again) runs inside that span, so no time is
+        counted twice."""
+        if not self._worklist:
+            return
+        if self._draining:
+            self._drain_worklist()
+            return
+        self._draining = True
+        try:
+            with obs.observe("cpp.instantiate", cat="cpp"):
+                self._drain_worklist()
+        finally:
+            self._draining = False
+
+    def _drain_worklist(self) -> None:
         while self._worklist:
             r = self._worklist.popleft()
             self._in_worklist.discard(id(r))

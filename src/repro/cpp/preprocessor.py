@@ -147,7 +147,7 @@ class Preprocessor:
                 rec.note_file(file, depth)
         self._include_stack.append(file)
         try:
-            with obs.observe("frontend.lex", cat="frontend", file=file.name):
+            with obs.observe("cpp.preprocess.lex", cat="cpp", file=file.name):
                 toks = tokenize(file, self.sink)
             return self._process_tokens(toks, file)
         finally:

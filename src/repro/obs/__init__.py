@@ -1,13 +1,19 @@
-"""repro.obs — toolchain self-observability: phase-scoped wall timers.
+"""repro.obs — toolchain self-observability: the toolchain's one clock.
 
 The repro's dynamic-analysis half is a real TAU measurement runtime
 (:mod:`repro.tau.runtime`) driven, for paper experiments, by a virtual
-clock.  This module *dogfoods* that runtime with a wall-clock source to
-observe the toolchain itself: the frontend's phases (preprocess, lex,
-parse, instantiate), the IL Analyzer passes, the PDB writer and merge,
-and ``pdbbuild``'s workers all report into phase-scoped timers.
+clock.  This module observes the toolchain itself with wall-clock
+spans: the frontend's phases (preprocess, lex, parse, instantiate), the
+IL Analyzer passes, the PDB writer and merge, the checks, and
+``pdbbuild``'s workers.  Span names use the benchmark's layer
+vocabulary (``cpp.parse``, ``analyzer.<pass>``, ``pdbmerge``, …).
 
-Two products come out of one set of measurements:
+:func:`observe` is the only timer in the toolchain: it always measures
+and hands back its :class:`Span`, so callers that need a wall time
+(``pdbbuild``'s stats, ``run_checks``' per-check timings) read it from
+the span instead of keeping a second clock.  An installed
+:class:`Observer` additionally collects the spans, and three products
+come out of that one set of measurements:
 
 * **Chrome trace** (``chrome://tracing`` / Perfetto event format):
   every phase is a complete ``"ph": "X"`` span with microsecond ``ts``
@@ -17,6 +23,8 @@ Two products come out of one set of measurements:
   drives a real :class:`~repro.tau.runtime.Profiler`, so the paper's
   own display code (``pprof`` tables, ``profile.n.c.t`` files) renders
   the toolchain's hot phases — one worker process per TAU "node".
+* **Per-phase aggregates** (:func:`phase_aggregates`) for the stats
+  report.
 
 Layering: this module depends only on the standard library and
 ``repro.tau.runtime``.  It must never import the tools it observes
@@ -25,24 +33,23 @@ Layering: this module depends only on the standard library and
 Usage::
 
     obs.enable()
-    with obs.observe("frontend.parse", cat="frontend"):
+    with obs.observe("cpp.parse", cat="cpp") as span:
         ...
+    wall_s = span.dur / 1e6
     observer = obs.disable()
     write_chrome_trace("trace.json", observer.spans, observer.counters)
 
-Instrumented code calls :func:`observe` unconditionally; when no
-observer is installed it is a no-op costing one global read, which is
-what keeps observability overhead within the E17 budget.
+With no observer installed a span costs two clock reads and one
+:class:`Span` object, which is what keeps always-on instrumentation
+within the E17 budget.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -57,7 +64,6 @@ __all__ = [
     "get_observer",
     "is_enabled",
     "observe",
-    "timed",
     "counter",
     "chrome_trace_events",
     "write_chrome_trace",
@@ -66,7 +72,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One completed phase: a Chrome-trace ``"X"`` (complete) event.
 
@@ -99,16 +105,13 @@ class Counter:
 
 
 class Observer:
-    """Collects phase spans and drives a TAU profiler with wall time.
+    """Collects the spans and counter samples of one observed run.
 
-    The TAU runtime measures whatever clock it is fed; here the feed is
-    ``clock()`` (default :func:`time.perf_counter`) synchronised before
-    every start/stop, so inclusive/exclusive accounting — the part the
-    paper's runtime already does — works unchanged on wall time.
-
-    ``epoch`` anchors span timestamps to an absolute timeline
-    (defaults to :func:`time.time` at construction); tests pass a fake
-    clock and ``epoch=0`` for determinism.
+    ``clock()`` (default :func:`time.perf_counter`) times every span
+    opened while this observer is installed; ``epoch`` anchors span
+    timestamps to an absolute timeline (defaults to :func:`time.time`
+    at construction).  Tests pass a fake clock and ``epoch=0`` for
+    determinism.
     """
 
     def __init__(
@@ -119,68 +122,13 @@ class Observer:
         self._clock = clock
         self._t0 = clock()
         self.epoch = time.time() if epoch is None else epoch
-        self.profiler = Profiler()
         self.spans: list[Span] = []
         self.counters: list[Counter] = []
         self.pid = os.getpid()
 
-    # -- clock -----------------------------------------------------------
-
     def _elapsed(self) -> float:
         """Seconds since this observer was created."""
         return self._clock() - self._t0
-
-    def _prof(self) -> ThreadProfile:
-        return self.profiler.profile(node=0)
-
-    def _sync(self) -> ThreadProfile:
-        """Advance the TAU profile's clock to wall-now."""
-        prof = self._prof()
-        t = self._elapsed()
-        if t > prof.now:
-            prof.advance(t - prof.now)
-        return prof
-
-    # -- phases ----------------------------------------------------------
-
-    @contextmanager
-    def phase(self, name: str, cat: str = "toolchain", **args):
-        """Phase-scoped timer: a TAU timer start/stop pair plus one
-        Chrome-trace complete span."""
-        prof = self._sync()
-        t_start = prof.now
-        prof.start(name, cat)
-        try:
-            yield self
-        finally:
-            prof = self._sync()
-            prof.stop(name)
-            self.spans.append(
-                Span(
-                    name=name,
-                    cat=cat,
-                    ts=(self.epoch + t_start) * 1e6,
-                    dur=(prof.now - t_start) * 1e6,
-                    pid=self.pid,
-                    tid=threading.get_native_id(),
-                    args=dict(args),
-                )
-            )
-
-    def timed(self, name: Optional[str] = None, cat: str = "toolchain"):
-        """Decorator form of :meth:`phase`."""
-
-        def deco(fn):
-            phase_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*a, **kw):
-                with self.phase(phase_name, cat):
-                    return fn(*a, **kw)
-
-            return wrapper
-
-        return deco
 
     def counter(self, name: str, **values: float) -> None:
         """Record one counter sample (cache hits/misses, evictions…)."""
@@ -192,8 +140,6 @@ class Observer:
                 values=dict(values),
             )
         )
-
-    # -- results ---------------------------------------------------------
 
     def adopt(self, spans: Iterable[Span]) -> None:
         """Merge spans collected elsewhere (worker processes)."""
@@ -229,37 +175,37 @@ def is_enabled() -> bool:
     return bool(_observers)
 
 
-@contextmanager
-def observe(name: str, cat: str = "toolchain", **args):
-    """Module-level phase scope: no-op when no observer is installed.
+class observe:
+    """Phase scope: ``with observe(name, cat, **args) as span:``.
 
-    This is what instrumented toolchain code calls; the disabled path is
-    one list read, so instrumentation can stay in place unconditionally.
+    Always measures: on exit the yielded :class:`Span` has ``dur`` set
+    (microseconds), also when the body raises.  The span goes to the
+    observer that was installed when it opened, if there was one; that
+    observer's clock times it, and only then are ``ts``, ``pid`` and
+    ``tid`` filled in.
     """
-    if not _observers:
-        yield None
-        return
-    with _observers[-1].phase(name, cat, **args) as obs:
-        yield obs
 
+    __slots__ = ("span", "_observer", "_start")
 
-def timed(name: Optional[str] = None, cat: str = "toolchain"):
-    """Module-level decorator: times through whatever observer is
-    installed at call time (no-op when disabled)."""
+    def __init__(self, name: str, cat: str = "toolchain", **args):
+        self.span = Span(name, cat, 0.0, 0.0, 0, 0, args)
 
-    def deco(fn):
-        phase_name = name or fn.__qualname__
+    def __enter__(self) -> Span:
+        observer = self._observer = _observers[-1] if _observers else None
+        self._start = time.perf_counter() if observer is None else observer._clock()
+        return self.span
 
-        @functools.wraps(fn)
-        def wrapper(*a, **kw):
-            if not _observers:
-                return fn(*a, **kw)
-            with _observers[-1].phase(phase_name, cat):
-                return fn(*a, **kw)
-
-        return wrapper
-
-    return deco
+    def __exit__(self, *exc) -> None:
+        span = self.span
+        observer = self._observer
+        if observer is None:
+            span.dur = (time.perf_counter() - self._start) * 1e6
+            return
+        span.dur = (observer._clock() - self._start) * 1e6
+        span.ts = (observer.epoch + (self._start - observer._t0)) * 1e6
+        span.pid = observer.pid
+        span.tid = threading.get_native_id()
+        observer.spans.append(span)
 
 
 def counter(name: str, **values: float) -> None:
@@ -355,8 +301,8 @@ def replay_spans(spans: Iterable[Span]) -> Profiler:
     displays and ``profile.n.c.t`` files assume — so the paper's own
     display code renders the toolchain's real times.
 
-    Spans produced by :meth:`Observer.phase` context managers always
-    nest properly per thread; a span that merely overlaps (clock skew
+    Spans produced by :func:`observe` scopes always nest properly per
+    thread; a span that merely overlaps (clock skew
     across processes cannot produce this within one thread) would be
     treated as nested under the span it starts inside.
     """

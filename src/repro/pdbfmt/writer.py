@@ -18,7 +18,7 @@ def write_pdb(doc: PdbDocument) -> str:
     reader's interned key table — documents built in memory (analyzer
     output, merge results) end up sharing one string object per distinct
     key with everything the reader parses."""
-    with obs.observe("pdb.write", cat="pdbfmt", items=len(doc.items)):
+    with obs.observe("pdbfmt.write", cat="pdbfmt", items=len(doc.items)):
         lines: list[str] = [f"<PDB {doc.version}>", ""]
         for item in doc.items:
             name = item.name if item.name else "<anon>"

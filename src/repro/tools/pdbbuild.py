@@ -16,21 +16,23 @@ This driver runs that pipeline as a build system would:
   documented in docs/FORMAT.md).
 
 The driver is self-observing (docs/FORMAT.md, "Build observability"):
-``--trace-json OUT`` records every toolchain phase — per-TU frontend
-phases, analyzer passes, PDB write, merge — as Chrome-trace complete
-events across worker pids, with cache hit/miss/eviction counter
-events; ``--self-profile DIR`` replays the same spans through the
-repro's own TAU measurement runtime and writes ``profile.n.c.t`` files
-(one node per build process) readable by ``repro.tau.profiledata`` —
-the toolchain profiled by the paper's own profiler.  Either flag also
-populates the per-phase wall-time aggregates of stats schema ``/4``.
+every wall time in the stats report is the duration of the
+:func:`repro.obs.observe` span around the same work.  ``--trace-json
+OUT`` collects those spans — per-TU frontend phases, analyzer passes,
+PDB write, merge — as Chrome-trace complete events across worker pids,
+with cache hit/miss/eviction counter events; ``--self-profile DIR``
+replays the same spans through the repro's own TAU measurement runtime
+and writes ``profile.n.c.t`` files (one node per build process)
+readable by ``repro.tau.profiledata`` — the toolchain profiled by the
+paper's own profiler.  Either flag also populates the per-phase
+wall-time aggregates of the stats report.
 
 ``--check[=RULES]`` runs the :mod:`repro.check` static-analysis suite
 on the merged result (CI-style lint-on-build): findings print like
 compiler diagnostics, per-check wall time lands in the stats report's
-``check`` section and — on observability builds — as ``check.*`` spans
-in ``--trace-json``, and findings at warning level or above make the
-build exit non-zero.
+``check`` section and — on observability builds — as ``check`` and
+``check.*`` spans in ``--trace-json``, and findings at warning level or
+above make the build exit non-zero.
 
 ``cxxparse`` routes through :func:`build` with one worker and no cache,
 so single-TU behaviour is unchanged.
@@ -85,7 +87,7 @@ from repro.pdbfmt.writer import write_pdb
 CACHE_FORMAT = "pdbbuild-cache/2"
 
 #: schema tag emitted in --stats-json reports
-STATS_SCHEMA = "pdbbuild-stats/6"
+STATS_SCHEMA = "pdbbuild-stats/7"
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,10 @@ class BuildOptions:
 class TUReport:
     """Per-TU observability record (one row of the --stats-json report).
 
-    ``phases`` (observability builds only) maps phase name -> wall
-    seconds inside this TU's compilation (frontend.preprocess,
-    frontend.parse, analyze.*, pdb.write, …)."""
+    ``wall_s`` is the duration of the TU's ``pdbbuild.compile_tu`` span
+    (0 for a cache hit).  ``phases`` (observability builds only) maps
+    phase name -> wall seconds inside this TU's compilation
+    (cpp.preprocess, cpp.parse, analyzer.*, pdbfmt.write, …)."""
 
     source: str
     cache_hit: bool
@@ -164,15 +167,20 @@ class TUCompileError(Exception):
     """One TU failed to compile.
 
     Carries the rendered diagnostics so keep-going builds can report
-    them without re-running the frontend.  All constructor arguments
-    flow through ``Exception.args``, so instances survive the pickling
-    round-trip from worker processes unchanged."""
+    them without re-running the frontend, and — on observability builds
+    — the spans the TU recorded before it failed, so a quarantined TU's
+    time stays in the trace.  All constructor arguments flow through
+    ``Exception.args``, so instances survive the pickling round-trip
+    from worker processes unchanged."""
 
-    def __init__(self, source: str, message: str, diagnostics: tuple = ()):
-        super().__init__(source, message, tuple(diagnostics))
+    def __init__(
+        self, source: str, message: str, diagnostics: tuple = (), spans: tuple = ()
+    ):
+        super().__init__(source, message, tuple(diagnostics), tuple(spans))
         self.source = source
         self.message = message
         self.diagnostics = list(diagnostics)
+        self.spans = list(spans)
 
     def __str__(self) -> str:
         return f"{self.source}: {self.message}"
@@ -216,10 +224,10 @@ class BuildStats:
     trace_counters: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The --stats-json document (schema: ``pdbbuild-stats/6``).
+        """The --stats-json document (schema: ``pdbbuild-stats/7``).
 
-        ``/6`` is ``/5`` without ``merge.tree_depth`` (see
-        docs/FORMAT.md)."""
+        ``/7`` is ``/6`` with phase names in the benchmark's layer
+        vocabulary (see docs/FORMAT.md)."""
         d = {
             "schema": STATS_SCHEMA,
             "jobs": self.jobs,
@@ -262,7 +270,7 @@ class _TUOutput:
     dep_hashes: list[tuple[str, str]]
     items: int
     warnings: int
-    wall_s: float
+    wall_s: float = 0.0
     errors: list[str] = field(default_factory=list)
     spans: list = field(default_factory=list)
     #: frontend header-cache activity during this TU's compilation
@@ -323,33 +331,45 @@ def _compile_tu(
     """Compile one TU to PDB text.  Top-level so worker processes can
     unpickle it; everything it needs travels as plain data.
 
-    ``trace`` installs a fresh :class:`repro.obs.Observer` around the
-    compilation, so every instrumented phase (frontend, analyzer
-    passes, PDB write) reports a span; the spans ride back on the
-    output.  Observers are per-call, so pool workers reused across TUs
-    never mix spans.
+    The compilation runs inside one ``pdbbuild.compile_tu`` span, whose
+    duration is the output's ``wall_s``.  ``trace`` installs a fresh
+    :class:`repro.obs.Observer` around it, so every instrumented phase
+    (frontend, analyzer passes, PDB write) is collected and the spans
+    ride back on the output — or, when the TU fails, on its
+    :class:`TUCompileError`.  Observers are per-call, so pool workers
+    reused across TUs never mix spans.
 
     Failure contract: raises :class:`TUCompileError` (picklable) when
     the TU cannot contribute a PDB — an unrecoverable frontend error, or
     an error cascade past the recovery bound.  In recovery mode
     (``keep_going_errors``) a TU with recorded errors still returns its
     partial PDB, annotated with ``ferr`` records."""
-    if trace:
-        observer = obs.enable()
-        try:
-            with observer.phase(
-                f"compile {Path(source).name}", cat="tu", source=source
-            ):
-                out = _compile_tu(source, options, files, trace=False, epoch=epoch)
-        finally:
+    _apply_fault_hooks(source)
+    observer = obs.enable() if trace else None
+    try:
+        with obs.observe("pdbbuild.compile_tu", cat="pdbbuild", source=source) as span:
+            out = _compile(source, options, files, epoch)
+    except TUCompileError as exc:
+        if observer is None:
+            raise
+        raise TUCompileError(
+            exc.source, exc.message, tuple(exc.diagnostics), tuple(observer.spans)
+        ) from exc
+    finally:
+        if observer is not None:
             obs.disable()
+    out.wall_s = span.dur / 1e6
+    if observer is not None:
         out.spans = observer.spans
-        return out
+    return out
 
+
+def _compile(
+    source: str, options: BuildOptions, files: Optional[dict[str, str]], epoch: str
+) -> _TUOutput:
+    """The compilation behind :func:`_compile_tu` (``wall_s`` unset)."""
     from repro.analyzer import analyze
 
-    _apply_fault_hooks(source)
-    start = time.perf_counter()
     fe = _worker_frontend(options, epoch)
     if files:
         fe.register_files(files)
@@ -396,7 +416,6 @@ def _compile_tu(
         dep_hashes=deps,
         items=len(doc.items),
         warnings=warnings,
-        wall_s=time.perf_counter() - start,
         errors=errors,
         # deltas, not totals: the Frontend (and its counters) is shared
         # across every TU this worker compiles in the current build
@@ -408,6 +427,10 @@ def _compile_tu(
 
 def _failure_from(source: str, exc: Exception, phase: str, retries: int = 0) -> TUFailure:
     if isinstance(exc, TUCompileError):
+        observer = obs.get_observer()
+        if observer is not None:
+            # the quarantined TU's spans stay in the build's trace
+            observer.adopt(exc.spans)
         return TUFailure(
             source=source,
             phase=phase,
@@ -482,12 +505,18 @@ def build(
     1) to be enforceable, since a hung in-process compile cannot be
     abandoned.
 
-    ``trace`` turns on self-observability: every toolchain phase
-    (driver scheduling, per-TU frontend/analyzer/writer phases across
-    worker pids, merge) records spans into ``stats.trace_spans``, cache
-    activity records counter samples into ``stats.trace_counters``, and
-    ``stats.phases`` aggregates per-phase wall time — the material for
-    ``--trace-json`` / ``--self-profile`` / stats schema ``/4``.
+    Every wall time in ``stats`` is read from the :func:`repro.obs.observe`
+    span that wraps the same work: ``total_wall_s`` is the
+    ``pdbbuild.build`` span, each TU's ``wall_s`` its
+    ``pdbbuild.compile_tu`` span, ``merge_wall_s`` the ``pdbmerge``
+    span, and the ``check`` section's times the ``check`` and
+    ``check.<name>`` spans.  ``trace`` decides only whether those spans
+    are collected: every toolchain phase (driver scheduling, per-TU
+    frontend/analyzer/writer phases across worker pids, merge) records
+    into ``stats.trace_spans``, cache activity records counter samples
+    into ``stats.trace_counters``, and ``stats.phases`` aggregates
+    per-phase wall time — the material for ``--trace-json`` /
+    ``--self-profile``.
 
     ``checks`` runs the :mod:`repro.check` static-analysis suite over
     the merged result ("all" or a selection as in
@@ -497,22 +526,19 @@ def build(
     """
     observer = obs.enable() if trace else None
     try:
-        if observer is None:
-            return _build(
-                sources, options, jobs, cache_dir, files, keep_going, timeout,
-                trace, observer, checks,
-            )
-        with observer.phase("pdbbuild.build", cat="pdbbuild", jobs=jobs):
+        with obs.observe("pdbbuild.build", cat="pdbbuild", jobs=jobs) as span:
             merged, stats = _build(
                 sources, options, jobs, cache_dir, files, keep_going, timeout,
-                trace, observer, checks,
+                trace, checks,
             )
     finally:
         if observer is not None:
             obs.disable()
-    stats.trace_spans = list(observer.spans)
-    stats.trace_counters = list(observer.counters)
-    stats.phases = obs.phase_aggregates(stats.trace_spans)
+    stats.total_wall_s = span.dur / 1e6
+    if observer is not None:
+        stats.trace_spans = list(observer.spans)
+        stats.trace_counters = list(observer.counters)
+        stats.phases = obs.phase_aggregates(stats.trace_spans)
     return merged, stats
 
 
@@ -525,11 +551,10 @@ def _build(
     keep_going: bool,
     timeout: Optional[float],
     trace: bool,
-    observer,
     checks: Optional[str] = None,
 ) -> tuple[PDB, BuildStats]:
-    """The build pipeline behind :func:`build` (observer installed)."""
-    t0 = time.perf_counter()
+    """The build pipeline behind :func:`build` (spans, counters and
+    adopted worker spans go to whatever observer is installed)."""
     options = options or BuildOptions()
     stats = BuildStats(jobs=jobs, cache_dir=cache_dir)
     cache = BuildCache(cache_dir) if cache_dir else None
@@ -544,11 +569,12 @@ def _build(
         except OSError:
             return None
 
+    observer = obs.get_observer()
     outputs: dict[int, _TUOutput] = {}
     failures: dict[int, TUFailure] = {}
     hits: dict[int, bool] = {}
     to_compile: list[tuple[int, str]] = []
-    with obs.observe("cache.lookup", cat="pdbbuild", tus=len(sources)):
+    with obs.observe("buildcache.lookup", cat="pdbbuild", tus=len(sources)):
         for i, source in enumerate(sources):
             entry = cache.lookup(fingerprint, source, read_content) if cache else None
             if entry is not None:
@@ -558,16 +584,15 @@ def _build(
                     dep_hashes=entry.deps,
                     items=entry.items,
                     warnings=entry.warnings,
-                    wall_s=0.0,
                     errors=entry.errors,
                 )
                 hits[i] = True
             else:
                 to_compile.append((i, source))
                 hits[i] = False
-            if cache is not None and observer is not None:
+            if cache is not None:
                 # cumulative hit/miss/eviction ramp, one sample per lookup
-                observer.counter(
+                obs.counter(
                     "cache",
                     hits=cache.stats.hits,
                     misses=cache.stats.misses,
@@ -656,7 +681,7 @@ def _build(
         if i in failures:
             continue
         out = outputs[i]
-        if observer is not None and out.spans:
+        if observer is not None:
             observer.adopt(out.spans)
         stats.tus.append(
             TUReport(
@@ -683,22 +708,19 @@ def _build(
         stats.cache_misses = cache.stats.misses
         stats.cache_evictions = cache.stats.evictions
 
-    tm = time.perf_counter()
     from repro.tools.pdbmerge import merge_pdb_texts_tree
 
-    with obs.observe("pdb.merge", cat="pdbbuild", tus=len(sources) - len(failures)):
-        texts = [
-            outputs[i].pdb_text for i in range(len(sources)) if i not in failures
-        ]
+    texts = [outputs[i].pdb_text for i in range(len(sources)) if i not in failures]
+    with obs.observe("pdbmerge", cat="pdbbuild", tus=len(texts)) as span:
         merged, stats.merge, _passes = merge_pdb_texts_tree(texts)
-    stats.merge_wall_s = time.perf_counter() - tm
+    stats.merge_wall_s = span.dur / 1e6
     stats.output_items = len(merged.doc.items)
 
     if checks is not None:
         from repro.check import run_checks
 
-        tc = time.perf_counter()
-        report = run_checks(merged, select=checks)
+        with obs.observe("check", cat="pdbbuild") as span:
+            report = run_checks(merged, select=checks)
         stats.check_report = report
         stats.check = {
             "selection": checks,
@@ -709,10 +731,8 @@ def _build(
             "checks": {
                 name: {"wall_s": report.timings[name]} for name in report.checks_run
             },
-            "wall_s": time.perf_counter() - tc,
+            "wall_s": span.dur / 1e6,
         }
-
-    stats.total_wall_s = time.perf_counter() - t0
     return merged, stats
 
 

@@ -554,12 +554,12 @@ class TestPdbbuildCheck:
     def test_stats_schema_v6_carries_check_section(self):
         from repro.tools.pdbbuild import STATS_SCHEMA, BuildOptions, build
 
-        assert STATS_SCHEMA == "pdbbuild-stats/6"
+        assert STATS_SCHEMA == "pdbbuild-stats/7"
         _merged, stats = build(
             list(DEFECT_SOURCES), BuildOptions(), files=defect_files(), checks="odr"
         )
         d = stats.to_dict()
-        assert d["schema"] == "pdbbuild-stats/6"
+        assert d["schema"] == "pdbbuild-stats/7"
         assert d["check"]["selection"] == "odr"
         assert d["check"]["findings"] == 4
         assert d["merge"]["odr_conflicts"] == EXPECTED_ODR_CONFLICTS

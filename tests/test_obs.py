@@ -1,8 +1,7 @@
-"""repro.obs tests: phase timers, Chrome traces, TAU replay, layering.
+"""repro.obs tests: spans, Chrome traces, TAU replay, layering.
 
-The observability layer dogfoods the TAU measurement runtime with a
-wall clock; these tests drive it with a fake clock so every duration is
-deterministic.
+``obs.observe`` times with the installed observer's clock; these tests
+install observers with a fake clock so every duration is deterministic.
 """
 
 import json
@@ -29,57 +28,52 @@ class FakeClock:
         self.t += dt
 
 
+@pytest.fixture
+def observed():
+    """An installed observer on a fake clock, uninstalled afterwards."""
+    clock = FakeClock()
+    o = obs.enable(obs.Observer(clock=clock, epoch=0.0))
+    try:
+        yield o, clock
+    finally:
+        obs.disable()
+
+
 def make_observer():
     clock = FakeClock()
     return obs.Observer(clock=clock, epoch=0.0), clock
 
 
 class TestObserver:
-    def test_phase_records_span(self):
-        o, clock = make_observer()
-        with o.phase("parse", cat="frontend", file="a.cpp"):
+    def test_phase_records_span(self, observed):
+        o, clock = observed
+        with obs.observe("parse", cat="cpp", file="a.cpp") as span:
             clock.tick(2.0)
-        assert len(o.spans) == 1
-        s = o.spans[0]
-        assert s.name == "parse" and s.cat == "frontend"
-        assert s.ts == 0.0 and s.dur == pytest.approx(2e6)
-        assert s.args == {"file": "a.cpp"}
+        assert o.spans == [span]
+        assert span.name == "parse" and span.cat == "cpp"
+        assert span.ts == 0.0 and span.dur == pytest.approx(2e6)
+        assert span.args == {"file": "a.cpp"}
+        assert span.pid == o.pid
 
-    def test_nested_phases_drive_tau_accounting(self):
-        o, clock = make_observer()
-        with o.phase("outer"):
+    def test_nested_spans_complete_in_exit_order(self, observed):
+        o, clock = observed
+        with obs.observe("outer"):
             clock.tick(1.0)
-            with o.phase("inner"):
+            with obs.observe("inner"):
                 clock.tick(3.0)
             clock.tick(0.5)
-        prof = o.profiler.profile(0)
-        assert prof.timers["outer"].inclusive == pytest.approx(4.5)
-        assert prof.timers["outer"].exclusive == pytest.approx(1.5)
-        assert prof.timers["inner"].exclusive == pytest.approx(3.0)
         # spans complete in exit order: inner first
         assert [s.name for s in o.spans] == ["inner", "outer"]
+        assert [s.dur for s in o.spans] == [pytest.approx(3e6), pytest.approx(4.5e6)]
 
-    def test_phase_survives_exception(self):
-        o, clock = make_observer()
+    def test_phase_survives_exception(self, observed):
+        o, clock = observed
         with pytest.raises(RuntimeError, match="boom"):
-            with o.phase("failing"):
+            with obs.observe("failing"):
                 clock.tick(1.0)
                 raise RuntimeError("boom")
         assert [s.name for s in o.spans] == ["failing"]
         assert o.spans[0].dur == pytest.approx(1e6)
-        assert o.profiler.profile(0).depth == 0  # timer stack unwound
-
-    def test_timed_decorator(self):
-        o, clock = make_observer()
-
-        @o.timed("work", cat="x")
-        def work():
-            clock.tick(2.5)
-            return 42
-
-        assert work() == 42
-        assert o.spans[0].name == "work"
-        assert o.spans[0].dur == pytest.approx(2.5e6)
 
     def test_counter_samples(self):
         o, clock = make_observer()
@@ -93,9 +87,13 @@ class TestObserver:
 
 class TestGating:
     def test_disabled_observe_is_noop(self):
+        """With no observer a span is still timed, but goes nowhere."""
         assert not obs.is_enabled()
-        with obs.observe("anything") as handle:
-            assert handle is None
+        with obs.observe("anything") as span:
+            assert isinstance(span, obs.Span) and span.dur == 0.0
+            sum(range(1000))
+        assert span.dur > 0.0
+        assert span.ts == 0.0 and span.pid == 0
         assert obs.get_observer() is None
 
     def test_enable_disable_stack(self):
@@ -117,36 +115,34 @@ class TestGating:
             obs.disable()
         assert [s.name for s in o.spans] == ["phase"]
 
-    def test_module_timed_checks_at_call_time(self):
-        calls = []
-
-        @obs.timed("late")
-        def fn():
-            calls.append(1)
-
-        fn()  # disabled: plain call
-        o = obs.enable()
+    def test_span_goes_to_the_observer_installed_when_it_opened(self):
+        outer, clock = make_observer()
+        inner, _ = make_observer()
+        obs.enable(outer)
         try:
-            fn()
+            with obs.observe("spanning"):
+                obs.enable(inner)
+                clock.tick(1.0)
+                obs.disable()
         finally:
             obs.disable()
-        assert len(calls) == 2
-        assert [s.name for s in o.spans] == ["late"]
+        assert [s.name for s in outer.spans] == ["spanning"]
+        assert inner.spans == []
 
 
 class TestChromeTrace:
-    def make_spans(self):
-        o, clock = make_observer()
-        with o.phase("build", cat="driver"):
-            with o.phase("a", cat="tu"):
+    def make_spans(self, observed):
+        o, clock = observed
+        with obs.observe("build", cat="driver"):
+            with obs.observe("a", cat="tu"):
                 clock.tick(1.0)
-            with o.phase("b", cat="tu"):
+            with obs.observe("b", cat="tu"):
                 clock.tick(2.0)
         o.counter("cache", hits=1)
         return o
 
-    def test_events_well_formed(self):
-        o = self.make_spans()
+    def test_events_well_formed(self, observed):
+        o = self.make_spans(observed)
         events = obs.chrome_trace_events(o.spans, o.counters)
         xs = [e for e in events if e["ph"] == "X"]
         assert len(xs) == 3
@@ -158,21 +154,21 @@ class TestChromeTrace:
         cs = [e for e in events if e["ph"] == "C"]
         assert len(cs) == 1 and cs[0]["args"] == {"hits": 1}
 
-    def test_events_sorted_and_rebased(self):
-        o = self.make_spans()
+    def test_events_sorted_and_rebased(self, observed):
+        o = self.make_spans(observed)
         events = [e for e in obs.chrome_trace_events(o.spans, o.counters) if e["ph"] != "M"]
         stamps = [e["ts"] for e in events]
         assert stamps == sorted(stamps)
         assert stamps[0] == 0.0
 
-    def test_metadata_process_names(self):
-        o = self.make_spans()
+    def test_metadata_process_names(self, observed):
+        o = self.make_spans(observed)
         events = obs.chrome_trace_events(o.spans, process_names={o.pid: "driver"})
         meta = [e for e in events if e["ph"] == "M"]
         assert meta and meta[0]["args"]["name"] == "driver"
 
-    def test_write_chrome_trace_loads_back(self, tmp_path):
-        o = self.make_spans()
+    def test_write_chrome_trace_loads_back(self, observed, tmp_path):
+        o = self.make_spans(observed)
         path = tmp_path / "trace.json"
         obs.write_chrome_trace(str(path), o.spans, o.counters)
         doc = json.loads(path.read_text())
@@ -181,11 +177,11 @@ class TestChromeTrace:
 
 
 class TestReplay:
-    def test_replay_reconstructs_nesting(self):
-        o, clock = make_observer()
-        with o.phase("outer"):
+    def test_replay_reconstructs_nesting(self, observed):
+        o, clock = observed
+        with obs.observe("outer"):
             clock.tick(1.0)
-            with o.phase("inner"):
+            with obs.observe("inner"):
                 clock.tick(3.0)
             clock.tick(0.5)
         prof = obs.replay_spans(o.spans).profile(0)
@@ -214,21 +210,21 @@ class TestReplay:
         assert prof.timers["a"].subrs == 0
         assert prof.timers["b"].exclusive == pytest.approx(6.0)
 
-    def test_replayed_profile_round_trips_profile_files(self, tmp_path):
-        o, clock = make_observer()
-        with o.phase("compile x.cpp", cat="tu"):
-            with o.phase("frontend.parse", cat="frontend"):
+    def test_replayed_profile_round_trips_profile_files(self, observed, tmp_path):
+        o, clock = observed
+        with obs.observe("pdbbuild.compile_tu", cat="pdbbuild"):
+            with obs.observe("cpp.parse", cat="cpp"):
                 clock.tick(1.0)
         write_profiles(obs.replay_spans(o.spans), str(tmp_path))
         loaded = read_profiles(str(tmp_path))
         assert isinstance(loaded, Profiler)
-        assert "compile x.cpp" in loaded.profile(0).timers
-        assert "frontend.parse" in loaded.profile(0).timers
+        assert "pdbbuild.compile_tu" in loaded.profile(0).timers
+        assert "cpp.parse" in loaded.profile(0).timers
 
-    def test_phase_aggregates(self):
-        o, clock = make_observer()
+    def test_phase_aggregates(self, observed):
+        o, clock = observed
         for _ in range(3):
-            with o.phase("p"):
+            with obs.observe("p"):
                 clock.tick(1.0)
         agg = obs.phase_aggregates(o.spans)
         assert agg == {"p": {"count": 3, "wall_s": pytest.approx(3.0)}}
@@ -263,18 +259,21 @@ class TestLayering:
 
         o = obs.enable()
         try:
-            tree = compile_source("int main() { return 0; }\n")
+            tree = compile_source(
+                "template <class T> struct Box { T get() { return T(); } };\n"
+                "int main() { Box<int> b; return b.get(); }\n"
+            )
             write_pdb(analyze(tree))
         finally:
             obs.disable()
         names = {s.name for s in o.spans}
         assert {
-            "frontend.preprocess",
-            "frontend.lex",
-            "frontend.parse",
-            "frontend.instantiate",
-            "analyze.ro",
-            "pdb.write",
+            "cpp.preprocess",
+            "cpp.preprocess.lex",
+            "cpp.parse",
+            "cpp.instantiate",
+            "analyzer.ro",
+            "pdbfmt.write",
         } <= names
 
 

@@ -182,7 +182,7 @@ class TestPdbbuildCli:
         assert pdbbuild_main(list(argv)) == 0
         assert out.read_text() == ref.read_text()
         stats = json.loads(stats_file.read_text())
-        assert stats["schema"] == "pdbbuild-stats/6"
+        assert stats["schema"] == "pdbbuild-stats/7"
         assert stats["cache"] == {
             "dir": str(tmp_path / "cache"), "hits": 0, "misses": 3, "evictions": 0,
         }
@@ -216,15 +216,15 @@ class TestPdbbuildCli:
 
         # stats /3 carries per-phase wall-time aggregates
         stats = json.loads(stats_file.read_text())
-        assert stats["schema"] == "pdbbuild-stats/6"
+        assert stats["schema"] == "pdbbuild-stats/7"
         phases = stats["phases"]
-        assert "pdbbuild.build" in phases and "pdb.merge" in phases
-        assert phases["frontend.parse"]["count"] == 3
+        assert "pdbbuild.build" in phases and "pdbmerge" in phases
+        assert phases["cpp.parse"]["count"] == 3
         for row in phases.values():
             assert row["wall_s"] >= 0 and row["count"] >= 1
         for tu in stats["tus"]:
-            assert tu["phases"]["frontend.parse"] >= 0
-            assert tu["phases"]["pdb.write"] >= 0
+            assert tu["phases"]["cpp.parse"] >= 0
+            assert tu["phases"]["pdbfmt.write"] >= 0
 
         # Chrome trace: well-formed events, spans sum close to total wall
         doc = json.loads(trace_file.read_text())
@@ -232,15 +232,15 @@ class TestPdbbuildCli:
         xs = [e for e in events if e["ph"] == "X"]
         assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in xs)
         names = {e["name"] for e in xs}
-        assert "pdbbuild.build" in names and "pdb.merge" in names
-        assert any(n.startswith("compile ") for n in names)
+        assert "pdbbuild.build" in names and "pdbmerge" in names
+        assert any(n.startswith("pdbbuild.compile_tu") for n in names)
         # acceptance: per-TU compile spans plus driver-side phases
         # account for (nearly) all of the build span's wall time
         build = next(e for e in xs if e["name"] == "pdbbuild.build")
         top_level = [
             e for e in xs
-            if e["name"].startswith("compile ")
-            or e["name"] in ("pdb.merge", "cache.lookup")
+            if e["name"].startswith("pdbbuild.compile_tu")
+            or e["name"] in ("pdbmerge", "buildcache.lookup")
         ]
         covered = sum(e["dur"] for e in top_level)
         # parallel workers can make covered exceed the wall span
@@ -252,7 +252,7 @@ class TestPdbbuildCli:
         driver = loaded.profile(0)
         assert "pdbbuild.build" in driver.timers
         rendered = format_profile(loaded, node=loaded.nodes()[-1])
-        assert "frontend.parse" in rendered
+        assert "cpp.parse" in rendered
 
     def test_cli_trace_serial_spans_cover_wall(self, tmp_path):
         # acceptance check on a serial build (-j 1): the per-TU and
@@ -275,8 +275,8 @@ class TestPdbbuildCli:
         covered = sum(
             e["dur"] / 1e6
             for e in xs
-            if e["name"].startswith("compile ")
-            or e["name"] in ("pdb.merge", "cache.lookup")
+            if e["name"].startswith("pdbbuild.compile_tu")
+            or e["name"] in ("pdbmerge", "buildcache.lookup")
         )
         total = stats["total_wall_s"]
         # the pdbbuild.build span is the whole build, within 5% of
@@ -315,3 +315,65 @@ class TestPdbbuildCli:
         # every TU includes synth.h, so every TU recompiles
         assert stats["cache"]["misses"] == 3 and stats["cache"]["hits"] == 0
         assert PDB.read(str(out)).findRoutine("extra_fn") is not None
+
+
+class TestStatsFromSpans:
+    """Every wall time in the build stats is the duration of the span
+    that wraps the same work, and failed TUs stay in the trace."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quarantined_tu_spans_stay_in_trace(self, tmp_path, jobs):
+        good = tmp_path / "good.cpp"
+        bad = tmp_path / "bad.cpp"
+        good.write_text("int f( ) { return 1; }\n")
+        bad.write_text("int g( ) { return 1 +; }\n")
+        _, stats = build(
+            [str(good), str(bad)], BuildOptions(), jobs=jobs, keep_going=True, trace=True
+        )
+        assert [f.source for f in stats.failures] == [str(bad)]
+        compiled = [s for s in stats.trace_spans if s.name == "pdbbuild.compile_tu"]
+        assert sorted(s.args["source"] for s in compiled) == [str(bad), str(good)]
+        # the failed TU's frontend phases come back with it
+        (bad_span,) = [s for s in compiled if s.args["source"] == str(bad)]
+        inside = {
+            s.name
+            for s in stats.trace_spans
+            if s.pid == bad_span.pid and bad_span.ts <= s.ts <= bad_span.end
+        }
+        assert {"cpp.preprocess", "cpp.parse"} <= inside
+        assert stats.phases["pdbbuild.compile_tu"]["count"] == 2
+        assert stats.phases["cpp.parse"]["count"] == 2
+
+    def test_stats_wall_times_equal_span_durations(self, corpus, tmp_path):
+        cache = str(tmp_path / "cache")
+        files = dict(corpus.files)
+        build(corpus.main_files, files=files, jobs=2, cache_dir=cache)
+        # one edited TU recompiles, the other two are cache hits
+        edited = corpus.main_files[1]
+        files[edited] += "\nint edited_fn( ) { return 3; }\n"
+        _, stats = build(
+            corpus.main_files, files=files, jobs=2, cache_dir=cache,
+            trace=True, checks="all",
+        )
+
+        def spans(name):
+            return [s for s in stats.trace_spans if s.name == name]
+
+        def single(name):
+            (span,) = spans(name)
+            return span.dur / 1e6
+
+        compiled = {s.args["source"]: s.dur / 1e6 for s in spans("pdbbuild.compile_tu")}
+        assert list(compiled) == [edited]
+        for row in stats.tus:
+            assert row.cache_hit == (row.source != edited)
+            assert row.wall_s == compiled.get(row.source, 0.0)
+        assert stats.merge_wall_s == single("pdbmerge")
+        assert stats.check["wall_s"] == single("check")
+        assert stats.check["checks"]
+        for name, row in stats.check["checks"].items():
+            assert row["wall_s"] == single(f"check.{name}")
+        assert stats.total_wall_s == single("pdbbuild.build")
+        d = stats.to_dict()
+        assert d["total_wall_s"] == stats.total_wall_s
+        assert d["merge"]["wall_s"] == stats.merge_wall_s

@@ -290,19 +290,22 @@ def test_chrome_trace_events_well_formed(script):
             return self.t
 
     clock = Clock()
-    observer = obs.Observer(clock=clock, epoch=0.0)
-    stack = []
-    for op, arg in script:
-        if op == "start":
-            cm = observer.phase(arg, cat="t")
-            cm.__enter__()
-            stack.append(cm)
-        elif op == "stop":
+    observer = obs.enable(obs.Observer(clock=clock, epoch=0.0))
+    try:
+        stack = []
+        for op, arg in script:
+            if op == "start":
+                cm = obs.observe(arg, cat="t")
+                cm.__enter__()
+                stack.append(cm)
+            elif op == "stop":
+                stack.pop().__exit__(None, None, None)
+            else:
+                clock.t += arg
+        while stack:
             stack.pop().__exit__(None, None, None)
-        else:
-            clock.t += arg
-    while stack:
-        stack.pop().__exit__(None, None, None)
+    finally:
+        obs.disable()
     observer.counter("cache", hits=1.0)
     events = obs.chrome_trace_events(
         observer.spans, observer.counters, process_names={observer.pid: "p"}
