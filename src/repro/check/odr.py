@@ -4,10 +4,16 @@ Meaningful on *merged* PDBs: :meth:`PDB.merge` collapses items whose
 (kind, name, parent, signature, defining location) coincide, so two
 *different* definitions of the same entity survive the merge as two
 items with the same full name — exactly the situation the ODR forbids.
+This is the toolchain's one ODR detector: the merge itself only
+deduplicates, and ``pdbmerge --check`` and ``pdbbuild --check`` run
+this check over their merged result.
 
-Only *definition* items participate (a declaration in a header plus its
-out-of-line definition in one TU is normal C++, not a violation), and
-internal-linkage routines (``static``) are skipped — each TU is allowed
+Only *definition* items participate, and a definition needs a body: a
+routine or class whose body position is known.  A declaration in a
+header plus its out-of-line definition in one TU is normal C++, and so
+is a forward declaration ``class Node;`` next to ``class Node { … };``
+in another TU (the opaque-pointer idiom); neither is a violation.
+Internal-linkage routines (``static``) are skipped — each TU is allowed
 its own.
 """
 
@@ -61,8 +67,8 @@ class OdrCheck(Check):
 
         cgroups: dict = {}
         for c in ctx.classes:
-            if not c.location().known:
-                continue
+            if not c.bodyBegin().known:
+                continue  # forward declaration — not a definition
             cgroups.setdefault(c.fullName(), []).append(c)
         for full_name, defs in cgroups.items():
             if len(defs) < 2:

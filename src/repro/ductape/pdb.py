@@ -38,16 +38,12 @@ class MergeStats:
     items_added: int = 0
     duplicates_eliminated: int = 0
     duplicate_instantiations: int = 0
-    #: incoming *definition* items whose entity already had a different
-    #: definition here — One-Definition-Rule conflicts (see ``odr_log``)
-    odr_conflicts: int = 0
 
     def __iadd__(self, other: "MergeStats") -> "MergeStats":
         self.items_in += other.items_in
         self.items_added += other.items_added
         self.duplicates_eliminated += other.duplicates_eliminated
         self.duplicate_instantiations += other.duplicate_instantiations
-        self.odr_conflicts += other.odr_conflicts
         return self
 
 
@@ -220,13 +216,12 @@ class PDB:
 
     # -- merge ------------------------------------------------------------------
 
-    def merge(self, other: "PDB", odr_log: Optional[list] = None) -> MergeStats:
+    def merge(self, other: "PDB") -> MergeStats:
         """Merge ``other`` into this PDB, eliminating duplicate items —
         in particular duplicate template instantiations from separate
         compilations (paper Table 2, pdbmerge).  The two-input case of
-        :class:`PdbMerger`; see there for the ODR bookkeeping and
-        ``odr_log``."""
-        stats = PdbMerger(self.doc).add(other.doc, odr_log)
+        :class:`PdbMerger`."""
+        stats = PdbMerger(self.doc).add(other.doc)
         self._reindex()
         return stats
 
@@ -263,14 +258,12 @@ class PdbMerger:
     left to right with pairwise merges, which re-key the whole
     accumulator for every input.  The one exception is an item whose key
     saw a ref that resolves nowhere; those are re-keyed before every
-    input, and the tables rebuilt if any key moved.
+    input, and the table rebuilt if any key moved.
 
-    One-Definition-Rule bookkeeping rides along: an incoming
-    *definition* item (a routine with a body, a located class) whose
-    entity already has a *different* definition bumps ``odr_conflicts``;
-    pass ``odr_log`` (a list) to also collect one detail dict per
-    conflict (``pdbmerge --check`` prints these).  Existing items are
-    never mutated, so an input stays unmodified.
+    The merge only deduplicates.  Two *different* definitions of one
+    entity keep distinct keys and both survive, for the ``odr`` check
+    (:mod:`repro.check.odr`) to report on the merged result.  Existing
+    items are never mutated, so an input stays unmodified.
     """
 
     def __init__(self, doc: PdbDocument):
@@ -286,29 +279,25 @@ class PdbMerger:
         """Key every item of ``doc`` against the merged index."""
         index = self._index
         self._keys: dict[tuple, RawItem] = {}
-        self._odr: dict[tuple, RawItem] = {}
-        #: (item, (key, odr key)) for the items whose keys saw a miss
+        #: (item, key) for the items whose keys saw a miss
         self._dangling: list[tuple] = []
         for raw in self.doc.items:
             index.missed = False
             key = _item_key(index, raw)
-            okey = _odr_key(index, raw)
             self._keys[key] = raw
-            if okey is not None:
-                self._odr.setdefault(okey, raw)
             if index.missed:
-                self._dangling.append((raw, (key, okey)))
+                self._dangling.append((raw, key))
 
     def _rekey(self) -> None:
         """Re-key the items whose keys saw a dangling ref; if any key
-        moved, rebuild the tables as the fold's re-keying would."""
+        moved, rebuild the table as the fold's re-keying would."""
         index = self._index
         moved = False
         still = []
-        for raw, keys in self._dangling:
+        for raw, key in self._dangling:
             index.missed = False
-            now = (_item_key(index, raw), _odr_key(index, raw))
-            moved = moved or now != keys
+            now = _item_key(index, raw)
+            moved = moved or now != key
             if index.missed:
                 still.append((raw, now))
         if moved:
@@ -316,20 +305,16 @@ class PdbMerger:
         else:
             self._dangling = still
 
-    def add(self, other: PdbDocument, odr_log: Optional[list] = None) -> MergeStats:
+    def add(self, other: PdbDocument) -> MergeStats:
         """Append ``other``'s new items to ``doc``; returns its stats."""
         if self._dangling:
             self._rekey()
         stats = MergeStats(items_in=len(other.items))
         index = _RefIndex((raw.ref, raw) for raw in other.items)
         keys = self._keys
-        odr = self._odr
         counters = self._counters
         remap: dict[str, str] = {}
         pending: list[tuple] = []
-        #: ODR keys first defined by ``other`` itself; their ``prior``
-        #: still holds refs local to ``other``
-        own_odr: set = set()
         for raw in other.items:
             index.missed = False
             key = _item_key(index, raw)
@@ -340,31 +325,12 @@ class PdbMerger:
                 if raw.prefix in ("cl", "ro") and raw.get("ctempl" if raw.prefix == "cl" else "rtempl"):
                     stats.duplicate_instantiations += 1
                 continue
-            okey = _odr_key(index, raw)
-            missed = index.missed
-            if okey is not None:
-                prior = odr.get(okey)
-                if prior is not None:
-                    stats.odr_conflicts += 1
-                    if odr_log is not None:
-                        prior_index = index if okey in own_odr else self._index
-                        odr_log.append(
-                            {
-                                "kind": "routine" if raw.prefix == "ro" else "class",
-                                "name": okey[1],
-                                "existing": _loc_str(prior_index, prior),
-                                "incoming": _loc_str(index, raw),
-                            }
-                        )
-                else:
-                    odr[okey] = raw
-                    own_odr.add(okey)
             counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
             clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
             for a in raw.attributes:
                 clone.attributes.append(a.clone())
             remap[str(raw.ref)] = str(clone.ref)
-            pending.append((raw, clone, key, okey, missed))
+            pending.append((clone, key, index.missed))
             keys[key] = clone
             stats.items_added += 1
         # remap keys are exactly the ``prefix#id`` spellings of incoming
@@ -373,15 +339,13 @@ class PdbMerger:
         remap_get = remap.get
         merged_index = self._index
         items = self.doc.items
-        for raw, clone, key, okey, missed in pending:
+        for clone, key, missed in pending:
             for a in clone.attributes:
                 a.words = [remap_get(w, w) for w in a.words]
             items.append(clone)
             merged_index[clone.ref] = clone
-            if okey is not None and odr[okey] is raw:
-                odr[okey] = clone
             if missed:
-                self._dangling.append((clone, (key, okey)))
+                self._dangling.append((clone, key))
         return stats
 
 
@@ -425,45 +389,6 @@ def _item_key(index: dict, raw: RawItem) -> tuple:
             loc_key,
         )
     return (raw.prefix, raw.name, loc_key)
-
-
-def _odr_key(index: dict, raw: RawItem) -> Optional[tuple]:
-    """ODR identity: the *entity* a definition item defines, sans
-    location.  Two items sharing an ODR key but not an item key are two
-    different definitions of one entity — an ODR violation.
-
-    Only definitions participate: routines with a known body position
-    (declaration-only items are not definitions) and located classes.
-    Internal-linkage (static) routines are exempt — one per TU is legal.
-    """
-    if raw.prefix == "ro":
-        if raw.first_word("rstatic") == "yes" or raw.first_word("rstore") == "static":
-            return None
-        positions = raw.get_positions("rpos")
-        if positions is None or len(positions) < 3 or positions[2].file is None:
-            return None  # no body: a declaration, not a definition
-        sig = raw.get_ref("rsig")
-        sig_name = ""
-        if sig is not None:
-            sig_item = index.get(sig)
-            sig_name = sig_item.name if sig_item is not None else ""
-        return ("ro", raw.name, _parent_name(index, raw, "rclass", "rnspace"), sig_name)
-    if raw.prefix == "cl":
-        loc = raw.get_location("cloc")
-        if loc is None or loc.file is None:
-            return None
-        return ("cl", raw.name, _parent_name(index, raw, "cclass", "cnspace"))
-    return None
-
-
-def _loc_str(index: dict, raw: RawItem) -> str:
-    """``file:line`` of an item's defining location, for ODR logs."""
-    for key in ("rloc", "cloc"):
-        loc = raw.get_location(key)
-        if loc is not None and loc.file is not None:
-            f = index.get(loc.file)
-            return f"{f.name if f is not None else '?'}:{loc.line}"
-    return "?"
 
 
 def _loc_key(index: dict, raw: RawItem) -> tuple:

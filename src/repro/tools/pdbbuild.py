@@ -87,7 +87,7 @@ from repro.pdbfmt.writer import write_pdb
 CACHE_FORMAT = "pdbbuild-cache/2"
 
 #: schema tag emitted in --stats-json reports
-STATS_SCHEMA = "pdbbuild-stats/7"
+STATS_SCHEMA = "pdbbuild-stats/8"
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,12 @@ class BuildStats:
     trace_counters: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The --stats-json document (schema: ``pdbbuild-stats/7``).
+        """The --stats-json document (schema: ``pdbbuild-stats/8``).
 
-        ``/7`` is ``/6`` with phase names in the benchmark's layer
-        vocabulary (see docs/FORMAT.md)."""
+        ``/8`` is ``/7`` without ``merge.odr_conflicts``: ODR violations
+        are the ``check`` section's PDT021/PDT022 findings.  ``/7`` is
+        ``/6`` with phase names in the benchmark's layer vocabulary (see
+        docs/FORMAT.md)."""
         d = {
             "schema": STATS_SCHEMA,
             "jobs": self.jobs,

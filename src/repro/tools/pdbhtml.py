@@ -53,10 +53,6 @@ def _page(title: str, body: str) -> str:
     )
 
 
-def _loc_str(item: PdbItem) -> str:
-    return _source_link(item)
-
-
 def _error_line(e) -> str:
     """One rendered ``ferr`` diagnostic, linking to the source line."""
     loc = e.location()
@@ -102,7 +98,7 @@ def _source_link(item: PdbItem) -> str:
 
 
 def _class_page(c: PdbClass) -> str:
-    parts: list[str] = [f"<p class='kind'>{c.kind()} &middot; location {_loc_str(c)}</p>"]
+    parts: list[str] = [f"<p class='kind'>{c.kind()} &middot; location {_source_link(c)}</p>"]
     te = c.template()
     if te is not None:
         parts.append(f"<p>Instantiated from template {_link(te)}</p>")
@@ -144,7 +140,7 @@ def _routine_page(r: PdbRoutine) -> str:
     sig = r.signature()
     parts = [
         f"<p class='kind'>{r.kind()} &middot; {r.access()} &middot; "
-        f"{html.escape(sig.name() if sig else '')} &middot; location {_loc_str(r)}</p>"
+        f"{html.escape(sig.name() if sig else '')} &middot; location {_source_link(r)}</p>"
     ]
     te = r.template()
     if te is not None:
@@ -170,7 +166,7 @@ def _routine_page(r: PdbRoutine) -> str:
 
 def _template_page(t: PdbTemplate) -> str:
     body = (
-        f"<p class='kind'>{t.kind()} template &middot; location {_loc_str(t)}</p>"
+        f"<p class='kind'>{t.kind()} template &middot; location {_source_link(t)}</p>"
         f"<h2>Definition</h2><pre>{html.escape(t.text())}</pre>"
     )
     return _page(f"Template {t.fullName()}", body)

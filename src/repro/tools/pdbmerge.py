@@ -7,9 +7,14 @@ pass over the inputs in order that keys each input's items once,
 probes one global ``key -> item`` table, appends the new items under
 running per-prefix ids and rewrites their refs.  The result is
 byte-identical to folding the inputs left to right with pairwise
-merges, with the same per-input :class:`MergeStats` and ODR log.
+merges, with the same per-input :class:`MergeStats`.
 :func:`merge_pdbs` merges parsed databases; :func:`merge_pdb_texts_tree`
 merges PDB texts, parsing each as the pass reaches it.
+
+The merge only deduplicates: two different definitions of one entity
+both survive it.  ``--check`` runs the ``odr`` check of
+:mod:`repro.check` over the merged result and prints its report, the
+text ``pdbcheck --checks odr`` prints for the same inputs.
 """
 
 from __future__ import annotations
@@ -22,23 +27,19 @@ from repro.pdbfmt.items import PdbDocument
 from repro.pdbfmt.reader import parse_pdb
 
 
-def merge_pdbs(
-    pdbs: list[PDB], odr_log: Optional[list] = None
-) -> tuple[PDB, list[MergeStats]]:
+def merge_pdbs(pdbs: list[PDB]) -> tuple[PDB, list[MergeStats]]:
     """Merge a list of PDBs, in order, into one *fresh* merged PDB.
 
     Returns the merged PDB and one :class:`MergeStats` per input after
     the first.  The inputs are never modified, so callers can keep
     reusing them (the merged PDB shares the first input's items, which
-    merging never mutates).  Pass ``odr_log`` (a list) to collect
-    One-Definition-Rule conflict details across all inputs
-    (``--check``).
+    merging never mutates).
     """
     if not pdbs:
         return PDB(), []
     first = pdbs[0].doc
     merger = PdbMerger(PdbDocument(version=first.version, items=list(first.items)))
-    stats = [merger.add(p.doc, odr_log) for p in pdbs[1:]]
+    stats = [merger.add(p.doc) for p in pdbs[1:]]
     return PDB(merger.doc), stats
 
 
@@ -71,13 +72,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument(
         "--check",
         action="store_true",
-        help="report cross-TU One-Definition-Rule conflicts found while merging",
+        help="report cross-TU One-Definition-Rule violations in the merged result "
+        "(the odr check, as pdbcheck --checks odr)",
     )
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args(argv)
     pdbs = [PDB.read(p) for p in args.inputs]
-    odr_log: Optional[list] = [] if args.check else None
-    merged, stats = merge_pdbs(pdbs, odr_log=odr_log)
+    merged, stats = merge_pdbs(pdbs)
     merged.write(args.output)
     if args.verbose:
         for path, st in zip(args.inputs[1:], stats):
@@ -87,13 +88,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"({st.duplicate_instantiations} template instantiations)"
             )
     if args.check:
-        total = sum(st.odr_conflicts for st in stats)
-        print(f"ODR conflicts: {total}")
-        for c in odr_log or []:
-            print(
-                f"  {c['kind']} '{c['name']}': defined at {c['existing']} "
-                f"and {c['incoming']}"
-            )
+        from repro.check import render_text, run_checks
+
+        print(render_text(run_checks(merged, select="odr")))
     print(f"{args.output}: {len(merged.items())} items")
     return 0
 

@@ -9,13 +9,11 @@ here as a test oracle only (``tests/test_merge_differential.py``,
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.ductape.pdb import PDB, MergeStats, _item_key, _loc_str, _odr_key
+from repro.ductape.pdb import PDB, MergeStats, _item_key
 from repro.pdbfmt.items import PdbDocument, RawItem
 
 
-def fold(pdbs: list[PDB], odr_log: Optional[list] = None) -> tuple[PDB, list[MergeStats]]:
+def fold(pdbs: list[PDB]) -> tuple[PDB, list[MergeStats]]:
     """Fold ``pdbs`` left to right into a fresh PDB; inputs stay unmodified."""
     if not pdbs:
         return PDB(), []
@@ -25,28 +23,23 @@ def fold(pdbs: list[PDB], odr_log: Optional[list] = None) -> tuple[PDB, list[Mer
         for a in raw.attributes:
             item.attributes.append(a.clone())
         base.items.append(item)
-    stats = [pair_merge(base, other.doc, odr_log) for other in pdbs[1:]]
+    stats = [pair_merge(base, other.doc) for other in pdbs[1:]]
     return PDB(base), stats
 
 
-def pair_merge(doc: PdbDocument, other: PdbDocument, odr_log: Optional[list] = None) -> MergeStats:
+def pair_merge(doc: PdbDocument, other: PdbDocument) -> MergeStats:
     """Merge ``other`` into ``doc`` (the pairwise merge the fold applies)."""
     stats = MergeStats(items_in=len(other.items))
     self_index = doc.index()
     other_index = other.index()
     self_keys: dict[tuple, RawItem] = {}
-    self_odr: dict[tuple, RawItem] = {}
     for raw in doc.items:
         self_keys[_item_key(self_index, raw)] = raw
-        okey = _odr_key(self_index, raw)
-        if okey is not None:
-            self_odr.setdefault(okey, raw)
     remap: dict[str, str] = {}
     counters: dict[str, int] = {}
     for raw in doc.items:
         counters[raw.prefix] = max(counters.get(raw.prefix, 0), raw.id)
     pending: list[RawItem] = []
-    own_odr: set = set()  # ODR keys first defined by ``other`` itself
     for raw in other.items:
         key = _item_key(other_index, raw)
         existing = self_keys.get(key)
@@ -56,24 +49,6 @@ def pair_merge(doc: PdbDocument, other: PdbDocument, odr_log: Optional[list] = N
             if raw.prefix in ("cl", "ro") and raw.get("ctempl" if raw.prefix == "cl" else "rtempl"):
                 stats.duplicate_instantiations += 1
             continue
-        okey = _odr_key(other_index, raw)
-        if okey is not None:
-            prior = self_odr.get(okey)
-            if prior is not None:
-                stats.odr_conflicts += 1
-                if odr_log is not None:
-                    prior_index = other_index if okey in own_odr else self_index
-                    odr_log.append(
-                        {
-                            "kind": "routine" if raw.prefix == "ro" else "class",
-                            "name": okey[1],
-                            "existing": _loc_str(prior_index, prior),
-                            "incoming": _loc_str(other_index, raw),
-                        }
-                    )
-            else:
-                self_odr[okey] = raw
-                own_odr.add(okey)
         counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
         clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
         for a in raw.attributes:

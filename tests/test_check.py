@@ -25,10 +25,10 @@ from repro.check import (
 from repro.check.report import JSON_SCHEMA
 from repro.cpp.instantiate import InstantiationMode
 from repro.ductape.pdb import PDB
+from repro.tools.pdbmerge import merge_pdbs
 from repro.workloads.defects import (
     DEFECT_SOURCES,
     EXPECTED,
-    EXPECTED_ODR_CONFLICTS,
     compile_defects,
     defect_files,
     write_corpus,
@@ -52,6 +52,79 @@ def by_rule(report) -> dict[str, set[str]]:
     for f in report.findings:
         out.setdefault(f.rule.id, set()).add(f.item)
     return out
+
+
+def odr_groups(report) -> dict[tuple[str, str], set[str]]:
+    """ODR conflict groups: (rule id, entity) -> its ``file:line`` sites."""
+    out: dict[tuple[str, str], set[str]] = {}
+    for f in report.findings:
+        if f.rule.id in ("PDT021", "PDT022"):
+            out.setdefault((f.rule.id, f.item), set()).add(f"{f.file}:{f.line}")
+    return out
+
+
+def tu_pdbs(root, files: dict[str, str], sources) -> list[str]:
+    """Build each of ``sources`` alone and write its PDB under ``root``."""
+    from repro.tools.pdbbuild import BuildOptions, build
+
+    paths = []
+    for src in sources:
+        pdb, _stats = build([src], BuildOptions(), files=files)
+        path = str(root / src.replace(".cpp", ".pdb"))
+        pdb.write(path)
+        paths.append(path)
+    return paths
+
+
+def odr_lines(text: str) -> list[str]:
+    return [ln for ln in text.splitlines() if "[PDT021]" in ln or "[PDT022]" in ln]
+
+
+# opaque-pointer idiom: a forward declaration is not a definition
+OPAQUE_H = """\
+#ifndef H_H
+#define H_H
+class Node;
+int size( Node * n );
+#endif
+"""
+OPAQUE_A = """\
+#include "h.h"
+class Node {
+public:
+    int v;
+};
+int size( Node * n ) { return n->v; }
+int main( ) { Node n; n.v = 1; return size( &n ); }
+"""
+OPAQUE_B = """\
+#include "h.h"
+int count( Node * n ) { return size( n ); }
+"""
+OPAQUE_C = """\
+class Node {
+public:
+    long v;
+};
+long peek( Node * n ) { return n->v; }
+"""
+
+# same unqualified name in nested scopes of different enclosing scopes:
+# distinct entities, not ODR conflicts
+NESTED_NAMESPACES = {
+    "a.cpp": "namespace a {\nnamespace inner {\nint f( ) { return 1; }\n}\n}\n"
+             "int main( ) { return a::inner::f( ); }\n",
+    "b.cpp": "namespace b {\nnamespace inner {\nint f( ) { return 2; }\n}\n}\n"
+             "int g( ) { return b::inner::f( ); }\n",
+}
+NESTED_CLASSES = {
+    "a.cpp": "class A {\npublic:\n    class In {\n    public:\n"
+             "        int f( ) { return 1; }\n    };\n};\n"
+             "int main( ) { A::In x; return x.f( ); }\n",
+    "b.cpp": "class B {\npublic:\n    class In {\n    public:\n"
+             "        int f( ) { return 2; }\n    };\n};\n"
+             "int g( ) { B::In y; return y.f( ); }\n",
+}
 
 
 # ------------------------------------------------------------ framework
@@ -125,9 +198,28 @@ class TestSeededDefects:
         report = run_checks(pdb, select="deadcode", entries=["ping"])
         assert report.findings == []
 
-    def test_merge_counts_odr_conflicts(self):
-        _pdb, merge_stats = compile_defects()
-        assert sum(s.odr_conflicts for s in merge_stats) == EXPECTED_ODR_CONFLICTS
+    def test_odr_conflict_groups(self):
+        """The merge keeps both definitions of ``helper`` and ``Config``;
+        the check groups them, one finding per definition site."""
+        pdb, _stats = compile_defects()
+        assert odr_groups(run_checks(pdb, select="odr")) == {
+            ("PDT021", "helper"): {"a.cpp:13", "b.cpp:8"},
+            ("PDT022", "Config"): {"a.cpp:8", "b.cpp:3"},
+        }
+
+    def test_forward_declaration_is_not_a_definition(self, tmp_path):
+        """The opaque-pointer idiom: ``class Node;`` in a header, the one
+        definition in a.cpp.  A second, real definition is still caught,
+        and the forward declaration is not one of its sites."""
+        from repro.tools.pdbcheck import main
+
+        files = {"h.h": OPAQUE_H, "a.cpp": OPAQUE_A, "b.cpp": OPAQUE_B, "c.cpp": OPAQUE_C}
+        paths = tu_pdbs(tmp_path, files, ("a.cpp", "b.cpp", "c.cpp"))
+        assert main(["--checks", "odr", *paths[:2]]) == 0
+        pdb, _ = merge_pdbs([PDB.read(p) for p in paths])
+        assert odr_groups(run_checks(pdb, select="odr")) == {
+            ("PDT022", "Node"): {"a.cpp:2", "c.cpp:1"},
+        }
 
 
 # ------------------------------------------------------- clean corpora
@@ -502,27 +594,36 @@ class TestPdbcheckCli:
 
 
 class TestPdbmergeCheck:
-    def test_merge_pdbs_collects_odr_log(self, pdb_paths):
-        from repro.tools.pdbmerge import merge_pdbs
-
-        pdbs = [PDB.read(str(pdb_paths / n)) for n in ("a.pdb", "b.pdb")]
-        log: list = []
-        _merged, stats = merge_pdbs(pdbs, odr_log=log)
-        assert sum(s.odr_conflicts for s in stats) == EXPECTED_ODR_CONFLICTS
-        assert {e["name"] for e in log} == {"helper", "Config"}
-
-    def test_cli_check_flag(self, pdb_paths, tmp_path, capsys):
+    @staticmethod
+    def _run(paths, tmp_path, capsys) -> str:
         from repro.tools.pdbmerge import main
 
-        out = tmp_path / "merged.pdb"
-        rc = main(
-            ["--check", "-o", str(out),
-             str(pdb_paths / "a.pdb"), str(pdb_paths / "b.pdb")]
-        )
-        assert rc == 0
-        text = capsys.readouterr().out + capsys.readouterr().err
-        assert f"ODR conflicts: {EXPECTED_ODR_CONFLICTS}" in text
+        assert main(["--check", "-o", str(tmp_path / "merged.pdb"), *paths]) == 0
+        return capsys.readouterr().out
+
+    def test_cli_check_flag(self, pdb_paths, tmp_path, capsys):
+        """``pdbmerge --check`` prints the ``odr`` check's findings, line
+        for line what ``pdbcheck --checks odr`` prints for the same inputs."""
+        from repro.tools.pdbcheck import main as pdbcheck
+
+        paths = [str(pdb_paths / "a.pdb"), str(pdb_paths / "b.pdb")]
+        text = self._run(paths, tmp_path, capsys)
         assert "helper" in text and "Config" in text
+        assert pdbcheck(["--checks", "odr", *paths]) == 1
+        want = capsys.readouterr().out
+        assert len(odr_lines(want)) == 4
+        assert odr_lines(text) == odr_lines(want)
+        assert want in text
+
+    @pytest.mark.parametrize("sources", [NESTED_NAMESPACES, NESTED_CLASSES], ids=["namespaces", "classes"])
+    def test_nested_scopes_are_not_odr_conflicts(self, sources, tmp_path, capsys):
+        """``a::inner::f`` and ``b::inner::f`` (and ``A::In::f`` and
+        ``B::In::f``) are different entities: their immediate parents
+        share a name, their qualified names do not."""
+        paths = tu_pdbs(tmp_path, sources, ("a.cpp", "b.cpp"))
+        text = self._run(paths, tmp_path, capsys)
+        assert text.splitlines()[0] == "0 findings — checks run: odr"
+        assert "ODR conflicts" not in text and "[PDT021]" not in text
 
 
 # --------------------------------------------------- pdbbuild --check
@@ -554,15 +655,17 @@ class TestPdbbuildCheck:
     def test_stats_schema_v6_carries_check_section(self):
         from repro.tools.pdbbuild import STATS_SCHEMA, BuildOptions, build
 
-        assert STATS_SCHEMA == "pdbbuild-stats/7"
+        assert STATS_SCHEMA == "pdbbuild-stats/8"
         _merged, stats = build(
             list(DEFECT_SOURCES), BuildOptions(), files=defect_files(), checks="odr"
         )
         d = stats.to_dict()
-        assert d["schema"] == "pdbbuild-stats/7"
+        assert d["schema"] == "pdbbuild-stats/8"
         assert d["check"]["selection"] == "odr"
         assert d["check"]["findings"] == 4
-        assert d["merge"]["odr_conflicts"] == EXPECTED_ODR_CONFLICTS
+        # ODR violations are the check's findings, not a merge counter
+        assert d["check"]["rules"] == {"PDT021": 2, "PDT022": 2}
+        assert "odr_conflicts" not in d["merge"]
         assert "check_report" not in d
         json.dumps(d)  # must stay serialisable
 

@@ -2,12 +2,12 @@
 
 Random corpora of small per-TU databases, drawn from tight name, file
 and line pools so that items collide often: duplicates inside the first
-input and inside later ones, ODR conflicts (one routine or class defined
-at two places), ``ferr`` records, template instantiations
+input and inside later ones, one routine or class defined at two places
+(both definitions survive), ``ferr`` records, template instantiations
 (``ctempl``/``rtempl``), and refs that do not resolve inside their own
 input (some of which resolve once the merge has grown).  Every entry
-point must give the fold's bytes, per-input :class:`MergeStats` and ODR
-log, and leave its inputs unmodified.
+point must give the fold's bytes and per-input :class:`MergeStats`, and
+leave its inputs unmodified.
 """
 
 from __future__ import annotations
@@ -109,16 +109,13 @@ def _same_as_fold(docs: list[PdbDocument]) -> None:
     def parsed() -> list[PDB]:
         return [PDB(parse_pdb(t)) for t in texts]
 
-    want_log: list = []
-    want, want_stats = fold(parsed(), want_log)
+    want, want_stats = fold(parsed())
     want_text = want.to_text()
 
     inputs = parsed()
-    got_log: list = []
-    got, got_stats = merge_pdbs(inputs, got_log)
+    got, got_stats = merge_pdbs(inputs)
     assert got.to_text() == want_text
     assert got_stats == want_stats
-    assert got_log == want_log
     assert [p.to_text() for p in inputs] == texts
 
     merged, total, passes = merge_pdb_texts_tree(texts)
@@ -132,10 +129,8 @@ def _same_as_fold(docs: list[PdbDocument]) -> None:
     if len(texts) == 2:
         # the two-input case, in place
         base = PDB(parse_pdb(texts[0]))
-        pair_log: list = []
-        assert base.merge(PDB(parse_pdb(texts[1])), pair_log) == want_stats[0]
+        assert base.merge(PDB(parse_pdb(texts[1]))) == want_stats[0]
         assert base.to_text() == want_text
-        assert pair_log == want_log
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -183,26 +178,6 @@ def test_first_input_duplicates_kept_later_ones_collapse():
     assert stats[0].duplicates_eliminated == 3
 
 
-def test_odr_log_order_matches_fold():
-    docs = []
-    for i, line in enumerate((10, 20, 20, 30)):
-        doc = _tu("w.h")
-        _routine(doc, 1, "f", line)
-        _routine(doc, 2, "g", line + i)
-        docs.append(doc)
-    same = _tu("w.h")
-    _routine(same, 1, "k", 40)
-    _routine(same, 2, "k", 50)  # two definitions inside one later input
-    docs.append(same)
-    _same_as_fold(docs)
-    log: list = []
-    _, stats = merge_pdbs([PDB(d) for d in docs], log)
-    assert [s.odr_conflicts for s in stats] == [2, 1, 2, 1]
-    got = [(c["name"], c["existing"], c["incoming"]) for c in log]
-    assert got[:2] == [("f", "w.h:10", "w.h:20"), ("g", "w.h:10", "w.h:21")]
-    assert got[-1] == ("k", "w.h:40", "w.h:50")
-
-
 def test_dangling_ref_resolving_later_rekeys():
     """A parent ref that dangles in its own input names a class once a
     later input adds it; the fold re-keys the item, and so must the pass."""
@@ -216,22 +191,3 @@ def test_dangling_ref_resolving_later_rekeys():
     _same_as_fold([first, second, third])
     _, stats = merge_pdbs([PDB(first), PDB(second), PDB(third)])
     assert stats[1].duplicates_eliminated == 3
-
-
-def test_odr_log_locates_same_input_prior_in_its_own_input():
-    """Both definitions of ``C`` come from the second input, whose local
-    ``so#1`` is ``b.h``; in the merged index ``so#1`` is the first
-    input's ``a.cpp``, so the existing location must resolve locally."""
-    first = _tu("a.cpp")
-    second = _tu("b.h")
-    second.add(RawItem("so", 2, "c.h")).add("skind", "source")
-    second.add(RawItem("cl", 1, "C")).add("cloc", "so#1", 3, 8)
-    second.add(RawItem("cl", 2, "C")).add("cloc", "so#2", 7, 8)
-    want = [{"kind": "class", "name": "C", "existing": "b.h:3", "incoming": "c.h:7"}]
-    fold_log: list = []
-    fold([PDB(first), PDB(second)], fold_log)
-    assert fold_log == want
-    pass_log: list = []
-    merge_pdbs([PDB(first), PDB(second)], pass_log)
-    assert pass_log == want
-    _same_as_fold([first, second])

@@ -1,15 +1,18 @@
 """Merge entry points against the left-fold oracle: ``merge_pdbs`` and
 ``merge_pdb_texts_tree`` (the single-pass merge ``pdbbuild`` runs) must
 reproduce the fold byte for byte (items, ids, ferr records), with the
-fold's per-input MergeStats."""
+fold's per-input MergeStats; conflicting definitions survive the merge
+for the ``odr`` check to report."""
 
 import pytest
 
+from repro.check import run_checks
 from repro.ductape.pdb import PDB, MergeStats
 from repro.pdbfmt.items import PdbDocument, RawItem
 from repro.tools.pdbmerge import merge_pdb_texts_tree, merge_pdbs
 
 from tests.merge_oracle import fold
+from tests.test_check import odr_groups
 
 def _tu_pdb(tu: int, shared: int = 5, unique: int = 8) -> PDB:
     """One synthetic per-TU document: shared items that dedup across
@@ -89,31 +92,69 @@ def test_tree_merge_does_not_mutate_inputs():
     assert [p.to_text() for p in inputs] == before
 
 
+def _defining_tu(files: tuple, defs: list) -> PDB:
+    """One TU over the source files ``files`` (``so#1``, ``so#2``, ...)
+    that *defines*, body included, each ``(prefix, name, file, line)``
+    (``file`` a 1-based index into ``files``)."""
+    doc = PdbDocument()
+    for i, name in enumerate(files, 1):
+        doc.add(RawItem("so", i, name)).add("skind", "source")
+    ids = {"cl": 0, "ro": 0}
+    for prefix, name, file, line in defs:
+        ids[prefix] += 1
+        item = doc.add(RawItem(prefix, ids[prefix], name))
+        so = f"so#{file}"
+        pos = (so, line, 1, so, line, 5, so, line, 7, so, line + 1, 1)
+        if prefix == "cl":
+            item.add("ckind", "class")
+            item.add("cloc", so, line, 1)
+            item.add("cpos", *pos)
+        else:
+            item.add("rsig", "NULL")
+            item.add("rclass", "NULL")
+            item.add("rloc", so, line, 1)
+            item.add("rpos", *pos)
+    return PDB(doc)
+
+
 def test_tree_merge_odr_conflicts_match_fold():
-    """Conflicting class definitions across TUs: per-input odr_conflicts
-    and the ODR log must equal the fold's."""
-
-    def tu(i, line):
-        doc = PdbDocument()
-        so = RawItem("so", 1, f"t{i}.cpp")
-        so.add("skind", "source")
-        doc.add(so)
-        cl = RawItem("cl", 0, "Widget")
-        cl.add("ckind", "class")
-        cl.add("cloc", "so#1", line, 1)
-        doc.add(cl)
-        return PDB(doc)
-
-    pdbs = [tu(i, line) for i, line in enumerate([10, 20, 30, 40])]
-    want_log: list = []
-    serial, per_input = fold(pdbs, want_log)
-    assert sum(st.odr_conflicts for st in per_input) > 0
-    log: list = []
-    merged, stats = merge_pdbs(pdbs, log)
-    assert merged.to_text() == serial.to_text()
-    assert stats == per_input and log == want_log
-    _, total, _ = merge_pdb_texts_tree([p.to_text() for p in pdbs])
-    assert total.odr_conflicts == _total(per_input).odr_conflicts
+    """Conflicting definitions survive the merge as the fold leaves them
+    (same bytes, same per-input MergeStats), and the ``odr`` check on
+    the merged result reports each conflict group with every site."""
+    widget = [
+        _defining_tu((f"t{i}.cpp",), [("cl", "Widget", 1, line)])
+        for i, line in enumerate([10, 20, 30, 40])
+    ]
+    # f at w.h:20 twice: a duplicate, not a conflict; g at four places;
+    # k defined twice inside the last input
+    f_g = [
+        _defining_tu(("w.h",), [("ro", "f", 1, line), ("ro", "g", 1, line + i)])
+        for i, line in enumerate((10, 20, 20, 30))
+    ] + [_defining_tu(("w.h",), [("ro", "k", 1, 40), ("ro", "k", 1, 50)])]
+    # both definitions of C come from the second input, whose so#1 is
+    # b.h; in the merged index so#1 is the first input's a.cpp
+    same_input = [
+        _defining_tu(("a.cpp",), []),
+        _defining_tu(("b.h", "c.h"), [("cl", "C", 1, 3), ("cl", "C", 2, 7)]),
+    ]
+    cases = [
+        (widget, {("PDT022", "Widget"): {"t0.cpp:10", "t1.cpp:20", "t2.cpp:30", "t3.cpp:40"}}),
+        (f_g, {
+            ("PDT021", "f"): {"w.h:10", "w.h:20", "w.h:30"},
+            ("PDT021", "g"): {"w.h:10", "w.h:21", "w.h:22", "w.h:33"},
+            ("PDT021", "k"): {"w.h:40", "w.h:50"},
+        }),
+        (same_input, {("PDT022", "C"): {"b.h:3", "c.h:7"}}),
+    ]
+    for pdbs, groups in cases:
+        serial, per_input = fold(pdbs)
+        merged, stats = merge_pdbs(pdbs)
+        assert merged.to_text() == serial.to_text()
+        assert stats == per_input
+        assert odr_groups(run_checks(merged, select="odr")) == groups
+        text_merged, total, _ = merge_pdb_texts_tree([p.to_text() for p in pdbs])
+        assert text_merged.to_text() == serial.to_text()
+        assert total == _total(per_input)
 
 
 def test_tree_merge_preserves_ferr_items():

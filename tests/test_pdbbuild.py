@@ -182,7 +182,7 @@ class TestPdbbuildCli:
         assert pdbbuild_main(list(argv)) == 0
         assert out.read_text() == ref.read_text()
         stats = json.loads(stats_file.read_text())
-        assert stats["schema"] == "pdbbuild-stats/7"
+        assert stats["schema"] == "pdbbuild-stats/8"
         assert stats["cache"] == {
             "dir": str(tmp_path / "cache"), "hits": 0, "misses": 3, "evictions": 0,
         }
@@ -216,7 +216,7 @@ class TestPdbbuildCli:
 
         # stats /3 carries per-phase wall-time aggregates
         stats = json.loads(stats_file.read_text())
-        assert stats["schema"] == "pdbbuild-stats/7"
+        assert stats["schema"] == "pdbbuild-stats/8"
         phases = stats["phases"]
         assert "pdbbuild.build" in phases and "pdbmerge" in phases
         assert phases["cpp.parse"]["count"] == 3
