@@ -48,7 +48,7 @@ from repro.cpp.il import (
 )
 from repro.cpp.scope import EnumeratorRef, LocalVar
 from repro.cpp.source import SourceLocation
-from repro.cpp.tokens import KEYWORDS, TokenKind
+from repro.cpp.tokens import BINARY_PRECEDENCE, KEYWORDS, TokenKind
 from repro.cpp.typeparse import TypeParserMixin
 
 
@@ -73,21 +73,6 @@ class ExprInfo:
     def callable(self) -> bool:
         return bool(self.routines or self.templates)
 
-
-#: binary operators by precedence level, loosest first.
-_BINARY_LEVELS: list[list[str]] = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", ">", "<=", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-    [".*", "->*"],
-]
 
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
 
@@ -131,7 +116,7 @@ class ExprParserMixin(TypeParserMixin):
         return ExprInfo(self.types.void)
 
     def _parse_ternary(self) -> ExprInfo:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary()
         if self.at("?"):
             self.advance()
             then = self.parse_comma_expression()
@@ -142,21 +127,23 @@ class ExprParserMixin(TypeParserMixin):
 
     # -- binary operators ----------------------------------------------------------
 
-    def _parse_binary(self, level: int) -> ExprInfo:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        lhs = self._parse_binary(level + 1)
-        while self.cur.kind is TokenKind.PUNCT and self.cur.text in ops:
+    def _parse_binary(self, min_prec: int = 1) -> ExprInfo:
+        """Precedence climbing: one unary operand, then every operator
+        binding at least ``min_prec``; recurses only for a right operand."""
+        lhs = self._parse_unary()
+        while True:
+            op = self.cur
+            prec = BINARY_PRECEDENCE.get(op.text, 0) if op.kind is TokenKind.PUNCT else 0
+            if prec < min_prec:
+                return lhs
             # ">" can end a template argument list; the template-arg parser
             # never descends here, so a ">" in expression context is an op.
-            op = self.advance()
-            rhs = self._parse_binary(level + 1)
+            self.advance()
+            rhs = self._parse_binary(prec + 1)
             result = self._maybe_operator_call(op.text, lhs, [rhs], op.location)
             lhs = result if result is not None else ExprInfo(
                 self._builtin_binary_type(op.text, lhs, rhs)
             )
-        return lhs
 
     def _builtin_binary_type(self, op: str, lhs: ExprInfo, rhs: ExprInfo) -> Type:
         if op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
@@ -270,7 +257,8 @@ class ExprParserMixin(TypeParserMixin):
 
     def _parse_new(self) -> ExprInfo:
         new_tok = self.expect("new")
-        self.accept("(") and self._skip_placement()  # placement new (rare)
+        if self.at("("):
+            self.skip_balanced("(")  # placement new (rare)
         base = self.parse_type_specifier()
         base = self.parse_ptr_operators(base)
         if self.at("["):
@@ -285,17 +273,6 @@ class ExprParserMixin(TypeParserMixin):
             args = self._parse_call_args()
         self._record_ctor(base, args, new_tok.location)
         return ExprInfo(self.types.pointer_to(base))
-
-    def _skip_placement(self) -> bool:
-        # called with "(" already consumed by accept()
-        depth = 1
-        while depth > 0 and not self.at_eof:
-            tok = self.advance()
-            if tok.is_punct("("):
-                depth += 1
-            elif tok.is_punct(")"):
-                depth -= 1
-        return True
 
     def _parse_delete(self) -> ExprInfo:
         del_tok = self.expect("delete")

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.cpp.diagnostics import CppError, DiagnosticSink
 from repro.cpp.scope import Binder
 from repro.cpp.source import SourceLocation
-from repro.cpp.tokens import KEYWORDS, Token, TokenKind
+from repro.cpp.tokens import KEYWORDS, Token, TokenKind, tokens_to_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpp.il import ILTree
@@ -34,6 +34,9 @@ DECL_SPECIFIERS = frozenset(
     "static extern inline virtual explicit mutable friend typedef register auto".split()
 )
 
+#: Token kinds ``at``/``accept``/``expect`` match by text.
+_WORD_KINDS = (TokenKind.PUNCT, TokenKind.IDENT)
+
 
 class ParserBase:
     """Token-cursor mechanics shared by the parser mixins."""
@@ -46,6 +49,8 @@ class ParserBase:
         sink: DiagnosticSink,
         engine: Optional["InstantiationEngine"] = None,
     ):
+        if not tokens or tokens[-1].kind is not TokenKind.EOF:
+            raise ValueError("the parser's token list must end in an EOF token")
         self.tokens = tokens
         self.pos = 0
         self.tree = tree
@@ -55,6 +60,8 @@ class ParserBase:
         self.types = tree.types
 
     # -- cursor -----------------------------------------------------------
+    # ``tokens`` ends in its one EOF token and ``advance`` stops there, so
+    # ``tokens[pos]`` is valid and consuming any other token needs no check.
 
     def peek(self, ahead: int = 0) -> Token:
         i = self.pos + ahead
@@ -64,44 +71,45 @@ class ParserBase:
 
     @property
     def cur(self) -> Token:
-        return self.peek(0)
+        return self.tokens[self.pos]
 
     def loc(self) -> SourceLocation:
         return self.cur.location
 
     def advance(self) -> Token:
-        tok = self.cur
-        if self.pos < len(self.tokens) - 1:
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokenKind.EOF:
             self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in (
-            TokenKind.PUNCT,
-            TokenKind.IDENT,
-        )
+        t = self.tokens[self.pos]
+        return t.text == text and t.kind in _WORD_KINDS
 
     def at_any(self, *texts: str) -> bool:
-        return any(self.at(t) for t in texts)
+        t = self.tokens[self.pos]
+        return t.text in texts and t.kind in _WORD_KINDS
 
     def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.advance()
+        t = self.tokens[self.pos]
+        if t.text == text and t.kind in _WORD_KINDS:
+            self.pos += 1
+            return t
         return None
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise CppError(
-                f"expected {text!r}, found {self.cur.text!r}", self.cur.location
-            )
-        return self.advance()
+        t = self.tokens[self.pos]
+        if t.text != text or t.kind not in _WORD_KINDS:
+            raise CppError(f"expected {text!r}, found {t.text!r}", t.location)
+        self.pos += 1
+        return t
 
     def expect_ident(self) -> Token:
-        if self.cur.kind is not TokenKind.IDENT or self.cur.text in KEYWORDS:
-            raise CppError(
-                f"expected identifier, found {self.cur.text!r}", self.cur.location
-            )
-        return self.advance()
+        t = self.tokens[self.pos]
+        if t.kind is not TokenKind.IDENT or t.text in KEYWORDS:
+            raise CppError(f"expected identifier, found {t.text!r}", t.location)
+        self.pos += 1
+        return t
 
     @property
     def at_eof(self) -> bool:
@@ -180,8 +188,6 @@ class ParserBase:
     def collect_balanced_text(self, open_text: str) -> str:
         """Collect the raw text between balanced brackets (for default
         argument values and non-type template arguments)."""
-        from repro.cpp.tokens import tokens_to_text
-
         start = self.pos
         self.skip_balanced(open_text)
         return tokens_to_text(self.tokens[start + 1 : self.pos - 1])

@@ -8,8 +8,8 @@ Implements the subset the corpora need, with standard semantics:
 * object- and function-like macros with ``#`` stringize and ``##`` paste,
   recursion blocked by an expansion stack,
 * ``#define/#undef/#ifdef/#ifndef/#if/#elif/#else/#endif`` with a constant
-  expression evaluator (``defined``, integer arithmetic, comparisons,
-  logical operators, ternary),
+  expression evaluator in C's semantics (``defined``, integer arithmetic,
+  comparisons, short-circuit logical operators, ternary),
 * ``__FILE__`` and ``__LINE__`` builtins,
 * ``#pragma`` / ``#error`` passthrough/report.
 
@@ -22,6 +22,7 @@ positions always point at real user source.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +31,7 @@ from repro.cpp.diagnostics import CppError, DiagnosticSink, TooManyErrors
 from repro.cpp.headercache import CACHE_DEPTH_LIMIT, HeaderCache
 from repro.cpp.lexer import tokenize
 from repro.cpp.source import SourceFile, SourceLocation, SourceManager
-from repro.cpp.tokens import Token, TokenKind, tokens_to_text
+from repro.cpp.tokens import BINARY_PRECEDENCE, Token, TokenKind, tokens_to_text
 
 #: Directive names the preprocessor understands.
 _DIRECTIVES = frozenset(
@@ -570,108 +571,103 @@ class Preprocessor:
                 final.append(Token(TokenKind.NUMBER, val, t.location))
             else:
                 final.append(t)
+        final.append(Token(TokenKind.EOF, "", loc))
         return _PPExprEvaluator(final, loc, self.sink).evaluate()
 
 
 class _PPExprEvaluator:
-    """Recursive-descent evaluator for preprocessor constant expressions."""
+    """Precedence-climbing ``#if`` evaluator with C semantics: ``/`` and
+    ``%`` truncate, operands C does not evaluate report nothing, leftover
+    tokens are an error, and a value outside the 64-bit ranges, a shift
+    count outside ``[0, 64)``, a floating literal or a division by zero
+    is reported and reads as 0."""
 
     def __init__(self, toks: list[Token], loc: SourceLocation, sink: DiagnosticSink):
-        self.toks = toks
+        self.toks = toks  # ends in an EOF token
         self.pos = 0
         self.loc = loc
         self.sink = sink
+        #: > 0 while inside an operand C does not evaluate
+        self.unevaluated = 0
 
     def evaluate(self) -> int:
-        if not self.toks:
+        if self.toks[0].kind is TokenKind.EOF:
             self.sink.error("empty #if condition", self.loc)
             return 0
         val = self._ternary()
+        t = self.toks[self.pos]
+        if t.kind is not TokenKind.EOF:
+            raise CppError(f"missing binary operator before {t.text!r} in #if", self.loc)
         return val
 
-    def _peek(self) -> Optional[Token]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def _error(self, message: str) -> int:
+        if not self.unevaluated:
+            self.sink.error(message, self.loc)
+        return 0
 
-    def _eat(self, text: Optional[str] = None) -> Token:
-        t = self._peek()
-        if t is None or (text is not None and t.text != text):
+    def _checked(self, v: int) -> int:
+        if -(1 << 63) <= v < 1 << 64:  # intmax_t or uintmax_t
+            return v
+        return self._error("integer overflow in #if")
+
+    def _operand(self, unevaluated: bool, parse, *args) -> int:
+        self.unevaluated += unevaluated
+        v = parse(*args)
+        self.unevaluated -= unevaluated
+        return v
+
+    def _eat(self, text: str) -> None:
+        if self.toks[self.pos].text != text:
             raise CppError(f"malformed #if expression (expected {text!r})", self.loc)
         self.pos += 1
-        return t
 
     def _ternary(self) -> int:
-        cond = self._binary(0)
-        t = self._peek()
-        if t is not None and t.is_punct("?"):
-            self._eat("?")
-            a = self._ternary()
-            self._eat(":")
-            b = self._ternary()
-            return a if cond else b
-        return cond
+        cond = self._binary(1)
+        if not self.toks[self.pos].is_punct("?"):
+            return cond
+        self.pos += 1
+        a = self._operand(not cond, self._ternary)
+        self._eat(":")
+        b = self._operand(bool(cond), self._ternary)
+        return a if cond else b
 
-    _LEVELS = [
-        ["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="],
-        ["<", ">", "<=", ">="], ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
-    ]
-
-    def _binary(self, level: int) -> int:
-        if level >= len(self._LEVELS):
-            return self._unary()
-        lhs = self._binary(level + 1)
+    def _binary(self, min_prec: int) -> int:
+        lhs = self._unary()
         while True:
-            t = self._peek()
-            if t is None or t.kind is not TokenKind.PUNCT or t.text not in self._LEVELS[level]:
+            t = self.toks[self.pos]
+            prec = BINARY_PRECEDENCE.get(t.text, 0) if t.kind is TokenKind.PUNCT else 0
+            if prec < min_prec:
                 return lhs
-            op = self._eat().text
-            rhs = self._binary(level + 1)
-            lhs = self._apply(op, lhs, rhs)
+            if t.text in (".*", "->*"):
+                raise CppError(f"unexpected token {t.text!r} in #if expression", self.loc)
+            self.pos += 1
+            rhs = self._operand(t.text == ("||" if lhs else "&&"), self._binary, prec + 1)
+            lhs = self._apply(t.text, lhs, rhs)
 
     def _apply(self, op: str, a: int, b: int) -> int:
-        if op == "||":
-            return int(bool(a) or bool(b))
-        if op == "&&":
-            return int(bool(a) and bool(b))
-        if op in ("/", "%") and b == 0:
-            self.sink.error("division by zero in #if", self.loc)
-            return 0
-        table = {
-            "|": a | b, "^": a ^ b, "&": a & b,
-            "==": int(a == b), "!=": int(a != b),
-            "<": int(a < b), ">": int(a > b),
-            "<=": int(a <= b), ">=": int(a >= b),
-            "<<": a << b, ">>": a >> b,
-            "+": a + b, "-": a - b, "*": a * b,
-            "/": int(a / b) if b else 0, "%": a % b if b else 0,
-        }
-        return table[op]
+        if op in ("<<", ">>") and not 0 <= b < 64:
+            return self._error("shift count out of range in #if")
+        if op in ("/", "%"):
+            if b == 0:
+                return self._error("division by zero in #if")
+            q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+            return self._checked(q if op == "/" else a - b * q)
+        return self._checked(int(_PP_BINARY[op](a, b)))
 
     def _unary(self) -> int:
-        t = self._peek()
-        if t is None:
+        t = self.toks[self.pos]
+        if t.kind is TokenKind.EOF:
             raise CppError("malformed #if expression", self.loc)
-        if t.is_punct("!"):
-            self._eat()
-            return int(not self._unary())
-        if t.is_punct("-"):
-            self._eat()
-            return -self._unary()
-        if t.is_punct("+"):
-            self._eat()
-            return self._unary()
-        if t.is_punct("~"):
-            self._eat()
-            return ~self._unary()
+        self.pos += 1
+        if t.kind is TokenKind.PUNCT and t.text in _PP_UNARY:
+            return self._checked(int(_PP_UNARY[t.text](self._unary())))
         if t.is_punct("("):
-            self._eat()
             v = self._ternary()
             self._eat(")")
             return v
         if t.kind is TokenKind.NUMBER:
-            self._eat()
-            return _parse_pp_number(t.text)
+            return self._number(t.text)
         if t.kind is TokenKind.CHAR:
-            self._eat()
             body = t.text[1:-1]
             if body.startswith("\\"):
                 esc = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39}
@@ -679,14 +675,27 @@ class _PPExprEvaluator:
             return ord(body[0]) if body else 0
         raise CppError(f"unexpected token {t.text!r} in #if expression", self.loc)
 
-
-def _parse_pp_number(text: str) -> int:
-    t = text.rstrip("uUlL")
-    try:
+    def _number(self, text: str) -> int:
+        t = text.rstrip("uUlL")
         if t.lower().startswith("0x"):
-            return int(t, 16)
-        if t.startswith("0") and len(t) > 1 and t.isdigit():
-            return int(t, 8)
-        return int(float(t)) if ("." in t or "e" in t.lower()) else int(t)
-    except ValueError:
-        return 0
+            base = 16
+        elif "." in t or "e" in t.lower():
+            return self._error("floating constant in #if")
+        else:
+            base = 8 if t.startswith("0") and t.isdigit() else 10
+        try:
+            return self._checked(int(t, base))
+        except ValueError:
+            return 0
+
+
+_PP_UNARY = {"!": operator.not_, "-": operator.neg, "+": operator.pos, "~": operator.invert}
+
+#: ``#if`` binary operators but ``/`` and ``%``
+_PP_BINARY = {
+    "||": lambda a, b: bool(a or b), "&&": lambda a, b: bool(a and b),
+    "|": operator.or_, "^": operator.xor, "&": operator.and_,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt,
+    "<=": operator.le, ">=": operator.ge, "<<": operator.lshift, ">>": operator.rshift,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+}

@@ -50,9 +50,13 @@ PUNCTUATORS = sorted(
     reverse=True,
 )
 
-#: Punctuators that can begin a type-id or expression — used by the parser's
-#: template-argument disambiguation.
-OPEN_BRACKETS = {"(": ")", "[": "]", "{": "}"}
+#: Binary operator -> precedence, higher binds tighter, all left-associative;
+#: the expression parser and the ``#if`` evaluator both climb this table.
+BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7, "<<": 8, ">>": 8, "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10, ".*": 11, "->*": 11,
+}
 
 
 @dataclass

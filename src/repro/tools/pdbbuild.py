@@ -385,8 +385,8 @@ def _compile(
             diags = [str(exc)]
         raise TUCompileError(source, exc.message, tuple(diags)) from exc
     except RecursionError as exc:
-        # nesting deeper than the recursive-descent parser's stack (e.g.
-        # a hundred nested parentheses): this TU alone fails
+        # nesting deeper than the recursive-descent parser's stack (more
+        # than 137 nested parentheses in an expression): this TU alone fails
         raise TUCompileError(
             source, "nesting too deep to compile (interpreter recursion limit reached)"
         ) from exc

@@ -1,6 +1,8 @@
 """Preprocessor unit tests: macros, conditionals, includes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpp.diagnostics import CppError, DiagnosticSink
 from tests.util import preprocess, texts
@@ -139,11 +141,47 @@ class TestConditionals:
             ("UNKNOWN_NAME", False),
             ("1 ? 1 : 0", True),
             ("'a' == 97", True),
+            ("X == -1", False),
+            ("2 + -1 == 1", True),
+            ("0 && (1/0)", False),
+            ("1 || (1/0)", True),
+            ("0 ? 1/0 : 1", True),
+            ("1 ? 1 : 1 << 64", True),
+            ("-7 % 2 == -1", True),
+            ("-7 / 2 == -3", True),
         ],
     )
     def test_if_expressions(self, expr, expected):
         toks, _ = preprocess(f"#if {expr}\nyes\n#endif")
         assert (texts(toks) == ["yes"]) is expected
+
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            ("1 / 0", "division by zero"),
+            ("1 2", "missing binary operator"),
+            ("1 << -1", "shift count out of range"),
+            ("1 >> 64", "shift count out of range"),
+            ("1e400", "floating constant"),
+            pytest.param("9" * 300 + " / 3", "integer overflow", id="300-digits / 3"),
+            ("1 .* 2", "unexpected token"),
+            ("(1", "malformed"),
+        ],
+    )
+    def test_if_expression_errors(self, expr, message):
+        with pytest.raises(CppError, match=message):
+            preprocess(f"#if {expr}\nyes\n#endif")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        "0 1 -1 2 64 0x10 07 1e3 2.5 99999999999999999999 'a' X "
+        "+ - * / % << >> < > <= >= == != & ^ | && || ! ~ ? : ( ) .*".split()
+    ), max_size=12))
+    def test_if_reports_only_cpperror(self, words):
+        try:
+            preprocess("#if " + " ".join(words) + "\nyes\n#endif")
+        except CppError:
+            pass
 
     def test_if_with_macro(self):
         toks, _ = preprocess("#define V 3\n#if V >= 2\nyes\n#endif")

@@ -27,6 +27,7 @@ from repro.tools.pdbbuild import (
 from repro.workloads.synth import SynthSpec, generate
 
 from tests import faults
+from tests.util import preprocess, texts
 
 
 @pytest.fixture()
@@ -214,13 +215,13 @@ class TestKeepGoing:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_recursion_error_is_quarantined(self, tmp_path, jobs):
-        # a hundred nested parentheses exhaust the recursive-descent
+        # two thousand nested parentheses exhaust the recursive-descent
         # parser's stack: that TU fails alone, the others still merge
         good = [tmp_path / "a.cpp", tmp_path / "b.cpp"]
         good[0].write_text("int g( ) { return 1; }\nint main( ) { return g( ); }\n")
         good[1].write_text("int h( ) { return 2; }\n")
         bad = tmp_path / "deep.cpp"
-        bad.write_text("int f( ) { return %s1%s; }\n" % ("(" * 100, ")" * 100))
+        bad.write_text("int f( ) { return %s1%s; }\n" % ("(" * 2000, ")" * 2000))
         sources = [str(good[0]), str(bad), str(good[1])]
         merged, stats = build(sources, BuildOptions(), jobs=jobs, keep_going=True)
         assert [(f.source, f.phase) for f in stats.failures] == [(str(bad), "frontend")]
@@ -229,6 +230,61 @@ class TestKeepGoing:
         assert merged.to_text() == ref.to_text()
         with pytest.raises(TUCompileError):
             build(sources, BuildOptions(), jobs=jobs)
+
+
+# -- #if values C rejects, and deep nesting -------------------------------
+
+#: ``#if`` condition -> the diagnostic its TU is quarantined with (None:
+#: valid C, the TU compiles)
+IF_CASES = {
+    "X == -1": None,
+    "2 + -1": None,
+    "1 << -1": "shift count out of range",
+    "1e400": "floating constant",
+    "9" * 300 + " / 3": "integer overflow",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_if_value_errors_are_quarantined(tmp_path, jobs):
+    # each condition once raised ValueError or OverflowError out of the
+    # evaluator, past -k, and ended the whole build
+    sources = []
+    for i, cond in enumerate(IF_CASES):
+        path = tmp_path / f"if{i}.cpp"
+        path.write_text(f"#if {cond}\nint a{i}( ) {{ return 1; }}\n#endif\n"
+                        f"int b{i}( ) {{ return 2; }}\n")
+        sources.append(str(path))
+    merged, stats = build(sources, BuildOptions(), jobs=jobs, keep_going=True)
+    failed = {f.source: (f.phase, f.error) for f in stats.failures}
+    want = {src: msg for src, msg in zip(sources, IF_CASES.values()) if msg}
+    assert sorted(failed) == sorted(want)
+    for src, (phase, error) in failed.items():
+        assert phase == "frontend" and want[src] in error
+    names = {r.name() for r in merged.getRoutineVec()}
+    assert names == {"b0", "b1", "a1"}
+
+
+class TestDepthLadder:
+    """Valid code nested deeper than the level-recursive expression
+    grammars could parse (53 parentheses in a build, 75 in ``#if``)."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("depth", [10, 50, 100])
+    def test_parenthesised_call_compiles(self, tmp_path, jobs, depth):
+        deep = tmp_path / "deep.cpp"
+        deep.write_text("int g( ) { return 1; }\nint f( ) { return %sg( )%s; }\n"
+                        % ("(" * depth, ")" * depth))
+        other = tmp_path / "other.cpp"
+        other.write_text("int h( ) { return 2; }\n")
+        merged, stats = build([str(deep), str(other)], BuildOptions(), jobs=jobs)
+        assert stats.failures == []
+        calls = merged.findRoutine("f").callees()
+        assert [(c.call().name(), c.location().line()) for c in calls] == [("g", 2)]
+
+    def test_if_condition_evaluates(self):
+        toks, _ = preprocess("#if %s1%s\nyes\n#endif" % ("(" * 100, ")" * 100))
+        assert texts(toks) == ["yes"]
 
 
 # -- hung and crashed workers -------------------------------------------
