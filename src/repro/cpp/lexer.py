@@ -1,204 +1,118 @@
-"""C++ lexer with exact source-position tracking.
+"""C++ lexer: one compiled pattern, one loop, exact source positions.
 
-Produces the raw token stream the preprocessor consumes.  Comments are
-skipped (they only affect ``leading_space``); line continuations
-(backslash-newline) are honoured, including inside ``#define`` bodies.
+Produces the raw token stream the preprocessor consumes.  :data:`_TOKEN`
+has one named group per lexical class; :func:`tokenize` matches it at
+the cursor and acts on the group that matched.  Comments are skipped
+(they only set ``leading_space``); line continuations (backslash, then
+LF or CR LF) are honoured, including inside ``#define`` bodies.  Line
+and column come from the position of the last newline consumed.
 
-When constructed with a non-fatal :class:`DiagnosticSink`, lexical
-errors are reported as soft errors and the lexer recovers instead of
-raising: an unterminated block comment swallows the rest of the file, an
-unterminated literal ends at the line break, and an unexpected character
-is skipped.  Truncated or corrupted sources then still yield a usable
-token stream for the rest of the translation unit.
+With a non-fatal :class:`DiagnosticSink`, lexical errors are reported as
+soft errors and lexing goes on instead of raising: an unterminated block
+comment swallows the rest of the file, an unterminated literal ends at
+the line break, and a stray character is skipped.  Truncated or
+corrupted sources then still yield a usable token stream for the rest of
+the translation unit.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from repro.cpp.diagnostics import CppError, DiagnosticSink
 from repro.cpp.source import SourceFile, SourceLocation
 from repro.cpp.tokens import PUNCTUATORS, Token, TokenKind
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+#: one alternative per lexical class, tried in order; ``stray`` matches
+#: any character the others do not, so every position matches
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{name}>{rx})"
+        for name, rx in (
+            ("newline", r"\n"),
+            ("trivia", r"(?:[ \t\r\f\v]|\\\r?\n|//[^\n]*)+"),
+            ("comment", r"/\*"),
+            ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+            ("number", r"0[xX][0-9a-fA-F]*[uUlLfF]*"
+                       r"|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?[uUlLfF]*"),
+            # the body only: the loop checks for the closing quote
+            ("quoted", r'"(?:[^"\\\n]|\\.?)*' r"|'(?:[^'\\\n]|\\.?)*"),
+            # longest first, so alternation order is maximal munch
+            ("punct", "|".join(map(re.escape, PUNCTUATORS))),
+            ("stray", "."),
+        )
+    ),
+    re.DOTALL,
+)
 
-
-class Lexer:
-    """Lexes one :class:`SourceFile` into a token list."""
-
-    def __init__(self, file: SourceFile, sink: Optional[DiagnosticSink] = None):
-        self.file = file
-        self.text = file.text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.at_line_start = True
-        self.leading_space = False
-        self.sink = sink
-        #: recover from lexical errors instead of raising
-        self.recover = sink is not None and not sink.fatal_errors
-
-    def _lex_error(self, message: str, loc: SourceLocation) -> None:
-        """Report a lexical error; raises unless in recovery mode."""
-        if self.recover and self.sink is not None:
-            self.sink.soft_error(message, loc)
-        else:
-            raise CppError(message, loc)
-
-    # -- character helpers --------------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.file, self.line, self.col)
-
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        # NUL sentinel at EOF: unlike "", it is never `in` a charset string
-        return self.text[i] if i < len(self.text) else "\0"
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos >= len(self.text):
-                return
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace, comments, and line continuations."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                self.leading_space = True
-            elif ch == "\n":
-                self._advance()
-                self.at_line_start = True
-                self.leading_space = False
-            elif ch in " \t\r\f\v":
-                self._advance()
-                self.leading_space = True
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                self.leading_space = True
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    # recovery: the truncated comment swallows the rest
-                    self._lex_error("unterminated block comment", start)
-                self.leading_space = True
-            else:
-                return
-
-    # -- token scanners ------------------------------------------------
-
-    def _scan_ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() in _IDENT_CONT:
-            self._advance()
-        return self.text[start : self.pos]
-
-    def _scan_number(self) -> str:
-        start = self.pos
-        # Hex
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek() in _DIGITS:
-                self._advance()
-            if self._peek() == "." and self._peek(1) in _DIGITS:
-                self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-            elif self._peek() == ".":
-                self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1) in _DIGITS
-                or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-            ):
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-        # Suffixes (u, l, f combinations)
-        while self._peek() in "uUlLfF":
-            self._advance()
-        return self.text[start : self.pos]
-
-    def _scan_quoted(self, quote: str) -> str:
-        start = self.pos
-        start_loc = self._loc()
-        self._advance()  # opening quote
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch == "\\":
-                self._advance(2)
-            elif ch == quote:
-                self._advance()
-                return self.text[start : self.pos]
-            elif ch == "\n":
-                break
-            else:
-                self._advance()
-        kind = "string" if quote == '"' else "character"
-        # recovery: the literal ends at the line break (or EOF)
-        self._lex_error(f"unterminated {kind} literal", start_loc)
-        return self.text[start : self.pos] + quote
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        loc = self._loc()
-        at_start, space = self.at_line_start, self.leading_space
-        self.at_line_start = False
-        self.leading_space = False
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", loc, at_start, space)
-        ch = self._peek()
-        if ch in _IDENT_START:
-            return Token(TokenKind.IDENT, self._scan_ident(), loc, at_start, space)
-        if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            return Token(TokenKind.NUMBER, self._scan_number(), loc, at_start, space)
-        if ch == '"':
-            return Token(TokenKind.STRING, self._scan_quoted('"'), loc, at_start, space)
-        if ch == "'":
-            return Token(TokenKind.CHAR, self._scan_quoted("'"), loc, at_start, space)
-        for punct in PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, loc, at_start, space)
-        # recovery: skip the offending character and lex what follows
-        self._lex_error(f"unexpected character {ch!r}", loc)
-        self._advance()
-        return self.next_token()
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole file, EOF token included."""
-        out: list[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
+_KINDS = {"ident": TokenKind.IDENT, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
 
 
 def tokenize(file: SourceFile, sink: Optional[DiagnosticSink] = None) -> list[Token]:
-    """Convenience wrapper: lex ``file`` into a token list.
+    """Lex ``file`` into a token list, EOF token included.
 
-    With a non-fatal ``sink``, lexical errors are recorded there and the
-    lexer recovers (see class docstring) instead of raising."""
-    return Lexer(file, sink).tokenize()
+    With a non-fatal ``sink``, lexical errors are recorded there and
+    lexing recovers (see the module docstring) instead of raising."""
+    text = file.text
+    recover = sink is not None and not sink.fatal_errors
+    match = _TOKEN.match
+    out: list[Token] = []
+    pos, n = 0, len(text)
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    at_start, space = True, False
+
+    def error(message: str, loc: SourceLocation) -> None:
+        if recover:
+            sink.soft_error(message, loc)
+        else:
+            raise CppError(message, loc)
+
+    while pos < n:
+        m = match(text, pos)
+        group = m.lastgroup
+        end = m.end()
+        kind = _KINDS.get(group)
+        if kind is not None:
+            loc = SourceLocation(file, line, pos - line_start + 1)
+            out.append(Token(kind, m.group(), loc, at_start, space))
+            at_start = space = False
+        elif group == "newline":
+            line += 1
+            line_start = end
+            at_start, space = True, False
+        elif group == "trivia":
+            space = True
+        elif group == "comment":
+            close = text.find("*/", end)
+            if close < 0:
+                loc = SourceLocation(file, line, pos - line_start + 1)
+                error("unterminated block comment", loc)
+            end = close + 2 if close >= 0 else n
+            space = True
+        elif group == "quoted":
+            loc = SourceLocation(file, line, pos - line_start + 1)
+            body = m.group()
+            quote = body[0]
+            if text.startswith(quote, end):
+                end += 1
+            else:
+                what = "string" if quote == '"' else "character"
+                error(f"unterminated {what} literal", loc)
+            kind = TokenKind.STRING if quote == '"' else TokenKind.CHAR
+            out.append(Token(kind, body + quote, loc, at_start, space))
+            at_start = space = False
+        else:  # stray
+            loc = SourceLocation(file, line, pos - line_start + 1)
+            error(f"unexpected character {m.group()!r}", loc)
+            at_start = space = False
+        if group == "trivia" or group == "comment" or group == "quoted":
+            # continuations, block comments and escaped line breaks span lines
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+    loc = SourceLocation(file, line, pos - line_start + 1)
+    out.append(Token(TokenKind.EOF, "", loc, at_start, space))
+    return out

@@ -234,8 +234,11 @@ class Preprocessor:
             conds.append(_CondState(taken=live, active=live))
             return
         if name == "if":
-            live = bool(self._eval_condition(rest, hash_loc)) if active else False
-            conds.append(_CondState(taken=live, active=live))
+            # pushed first: a condition that fails to evaluate reads as false
+            st = _CondState(taken=False, active=False)
+            conds.append(st)
+            if active:
+                st.taken = st.active = bool(self._eval_condition(rest, hash_loc))
             return
         if name == "elif":
             if not conds:
@@ -686,7 +689,7 @@ class _PPExprEvaluator:
         try:
             return self._checked(int(t, base))
         except ValueError:
-            return 0
+            raise CppError(f"invalid integer constant {text!r} in #if", self.loc) from None
 
 
 _PP_UNARY = {"!": operator.not_, "-": operator.neg, "+": operator.pos, "~": operator.invert}

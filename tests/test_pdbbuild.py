@@ -36,6 +36,18 @@ class TestBuildDeterminism:
         merged, _ = build(corpus.main_files[:1], files=corpus.files)
         assert merged.to_text() == direct
 
+    def test_crlf_text_in_memory_matches_disk(self, tmp_path):
+        # disk reads translate CR LF; in-memory text keeps it, so the
+        # backslash before CR LF must still continue the #define
+        text = ("#define TWICE( a ) \\\r\n    ( ( a ) + ( a ) )\r\n"
+                "int f( int x ) { return TWICE( x ); }\r\n")
+        path = tmp_path / "crlf.cpp"
+        path.write_bytes(text.encode())
+        from_disk, _ = build([str(path)])
+        in_memory, _ = build([str(path)], files={str(path): text})
+        assert in_memory.to_text() == from_disk.to_text()
+        assert from_disk.findRoutine("f") is not None
+
     def test_merge_stats_aggregated(self, corpus):
         _, stats = build(corpus.main_files, files=corpus.files)
         assert stats.merge.duplicates_eliminated > 0

@@ -166,6 +166,9 @@ class TestConditionals:
             pytest.param("9" * 300 + " / 3", "integer overflow", id="300-digits / 3"),
             ("1 .* 2", "unexpected token"),
             ("(1", "malformed"),
+            ("08", "invalid integer constant '08'"),
+            ("0x", "invalid integer constant '0x'"),
+            ("1f", "invalid integer constant '1f'"),
         ],
     )
     def test_if_expression_errors(self, expr, message):
@@ -182,6 +185,12 @@ class TestConditionals:
             preprocess("#if " + " ".join(words) + "\nyes\n#endif")
         except CppError:
             pass
+
+    def test_failed_if_reads_as_false_and_keeps_its_else(self):
+        sink = DiagnosticSink(fatal_errors=False)
+        toks, _ = preprocess("#if (1\nx\n#else\nz\n#endif\ny", sink=sink)
+        assert texts(toks) == ["z", "y"]
+        assert sink.error_count == 1
 
     def test_if_with_macro(self):
         toks, _ = preprocess("#define V 3\n#if V >= 2\nyes\n#endif")

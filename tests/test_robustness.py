@@ -267,7 +267,9 @@ def test_if_value_errors_are_quarantined(tmp_path, jobs):
 
 class TestDepthLadder:
     """Valid code nested deeper than the level-recursive expression
-    grammars could parse (53 parentheses in a build, 75 in ``#if``)."""
+    grammars could parse (53 parentheses in a build, 75 in ``#if``), and
+    more stray characters in a row than a lexer that resumes by recursion
+    can skip."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("depth", [10, 50, 100])
@@ -285,6 +287,18 @@ class TestDepthLadder:
     def test_if_condition_evaluates(self):
         toks, _ = preprocess("#if %s1%s\nyes\n#endif" % ("(" * 100, ")" * 100))
         assert texts(toks) == ["yes"]
+
+    @pytest.mark.parametrize("count", [100, 1_000, 5_000])
+    def test_stray_characters_are_skipped(self, tmp_path, count):
+        src = tmp_path / "stray.cpp"
+        src.write_text("@" * count + "int ok( ) { return 1; }\n")
+        # one more than the count: at the bound the sink gives up on the TU
+        merged, stats = build([str(src)], BuildOptions(keep_going_errors=count + 1))
+        assert stats.failures == []
+        assert merged.findRoutine("ok") is not None
+        ferrs = merged.getErrorVec()
+        assert len(ferrs) == count
+        assert all("unexpected character '@'" in e.render() for e in ferrs)
 
 
 # -- hung and crashed workers -------------------------------------------
