@@ -67,24 +67,30 @@ class DiagnosticSink:
     :meth:`error` *and* :meth:`soft_error` — before the sink raises
     :class:`TooManyErrors` regardless of ``fatal_errors``: runaway
     cascades in a broken input should not silently fill memory.
+    ``error_count`` and ``warning_count`` are running counts, kept by
+    the reporting methods, so recording N errors costs O(N).
     """
 
     fatal_errors: bool = True
     max_errors: int = 50
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    error_count: int = field(default=0, init=False, compare=False)
+    warning_count: int = field(default=0, init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        severities = [d.severity for d in self.diagnostics]
+        self.error_count = severities.count(Severity.ERROR)
+        self.warning_count = severities.count(Severity.WARNING)
 
     def note(self, message: str, location: Optional["SourceLocation"] = None) -> None:
         self.diagnostics.append(Diagnostic(Severity.NOTE, message, location))
 
     def warn(self, message: str, location: Optional["SourceLocation"] = None) -> None:
         self.diagnostics.append(Diagnostic(Severity.WARNING, message, location))
+        self.warning_count += 1
 
     def error(self, message: str, location: Optional["SourceLocation"] = None) -> None:
-        self.diagnostics.append(Diagnostic(Severity.ERROR, message, location))
-        if self.error_count >= self.max_errors:
-            raise TooManyErrors(
-                f"too many errors ({self.error_count}); giving up", location
-            )
+        self.soft_error(message, location)
         if self.fatal_errors:
             raise CppError(message, location)
 
@@ -93,18 +99,11 @@ class DiagnosticSink:
 
         Still subject to the ``max_errors`` cascade bound."""
         self.diagnostics.append(Diagnostic(Severity.ERROR, message, location))
+        self.error_count += 1
         if self.error_count >= self.max_errors:
             raise TooManyErrors(
                 f"too many errors ({self.error_count}); giving up", location
             )
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.ERROR)
-
-    @property
-    def warning_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.WARNING)
 
     def render_all(self) -> str:
         return "\n".join(d.render() for d in self.diagnostics)

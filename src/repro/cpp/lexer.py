@@ -4,8 +4,9 @@ Produces the raw token stream the preprocessor consumes.  :data:`_TOKEN`
 has one named group per lexical class; :func:`tokenize` matches it at
 the cursor and acts on the group that matched.  Comments are skipped
 (they only set ``leading_space``); line continuations (backslash, then
-LF or CR LF) are honoured, including inside ``#define`` bodies.  Line
-and column come from the position of the last newline consumed.
+LF or CR LF) are honoured, including inside ``#define`` bodies, line
+comments and literals.  Line and column come from the position of the
+last newline consumed.
 
 With a non-fatal :class:`DiagnosticSink`, lexical errors are reported as
 soft errors and lexing goes on instead of raising: an unterminated block
@@ -31,13 +32,15 @@ _TOKEN = re.compile(
         f"(?P<{name}>{rx})"
         for name, rx in (
             ("newline", r"\n"),
-            ("trivia", r"(?:[ \t\r\f\v]|\\\r?\n|//[^\n]*)+"),
+            # a line comment ends at a line break that is not spliced
+            ("trivia", r"(?:[ \t\r\f\v]|\\\r?\n|//(?:\\\r?\n|[^\n])*)+"),
             ("comment", r"/\*"),
             ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
             ("number", r"0[xX][0-9a-fA-F]*[uUlLfF]*"
                        r"|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?[uUlLfF]*"),
             # the body only: the loop checks for the closing quote
-            ("quoted", r'"(?:[^"\\\n]|\\.?)*' r"|'(?:[^'\\\n]|\\.?)*"),
+            # a backslash escapes the next character, or splices CR LF
+            ("quoted", r'"(?:[^"\\\n]|\\(?:\r\n|.)?)*' r"|'(?:[^'\\\n]|\\(?:\r\n|.)?)*"),
             # longest first, so alternation order is maximal munch
             ("punct", "|".join(map(re.escape, PUNCTUATORS))),
             ("stray", "."),

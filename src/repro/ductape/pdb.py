@@ -26,7 +26,7 @@ from repro.ductape.items import (
     PdbType,
 )
 from repro.pdbfmt.items import ItemRef, PdbDocument, RawItem
-from repro.pdbfmt.reader import parse_pdb
+from repro.pdbfmt.reader import normal_lines, parse_pdb
 from repro.pdbfmt.writer import write_pdb
 
 
@@ -248,17 +248,22 @@ class PdbMerger:
     ``doc`` is kept verbatim, duplicates included (for those, the last
     item holding a key is the one later inputs merge into).  Each
     :meth:`add` keys the incoming items once, against the input's own
-    index, probes one global ``key -> item`` table, appends clones of the
-    new items under running per-prefix ids, and rewrites their ref words
-    in one pass; a later duplicate of an item of the same input merges
-    into the first.  Identity keys depend only on names (kind, parent
-    name, signature name, file name + position), and a rewritten ref
-    names an item with the same prefix and name, so an appended item
-    keeps its key: the result is byte-identical to folding the inputs
-    left to right with pairwise merges, which re-key the whole
-    accumulator for every input.  The one exception is an item whose key
-    saw a ref that resolves nowhere; those are re-keyed before every
-    input, and the table rebuilt if any key moved.
+    index, probes one global ``key -> ref`` table, and appends the new
+    items under running per-prefix ids with their ref words rewritten;
+    a later duplicate of an item of the same input merges into the
+    first.  Identity keys depend only on names (kind, parent name,
+    signature name, file name + position), and a rewritten ref names an
+    item with the same prefix and name, so an appended item keeps its
+    key: the result is byte-identical to folding the inputs left to
+    right with pairwise merges, which re-key the whole accumulator for
+    every input.  The one exception is an item whose key saw a ref that
+    resolves nowhere; those are re-keyed before every input, and the
+    table rebuilt if any key moved.
+
+    The merge works on attribute lines (:meth:`RawItem.lines`): keys
+    read the few values they need from them, and an appended item holds
+    its source's lines with the ref words rewritten, so an item no tool
+    reads is never materialised.
 
     The merge only deduplicates.  Two *different* definitions of one
     entity keep distinct keys and both survive, for the ``odr`` check
@@ -278,13 +283,14 @@ class PdbMerger:
     def _key_all(self) -> None:
         """Key every item of ``doc`` against the merged index."""
         index = self._index
-        self._keys: dict[tuple, RawItem] = {}
+        #: identity key -> the ``prefix#id`` spelling of its item
+        self._keys: dict[tuple, str] = {}
         #: (item, key) for the items whose keys saw a miss
         self._dangling: list[tuple] = []
         for raw in self.doc.items:
             index.missed = False
-            key = _item_key(index, raw)
-            self._keys[key] = raw
+            key = _item_key(index, raw, _key_fields(raw))
+            self._keys[key] = str(raw.ref)
             if index.missed:
                 self._dangling.append((raw, key))
 
@@ -296,7 +302,7 @@ class PdbMerger:
         still = []
         for raw, key in self._dangling:
             index.missed = False
-            now = _item_key(index, raw)
+            now = _item_key(index, raw, _key_fields(raw))
             moved = moved or now != key
             if index.missed:
                 still.append((raw, now))
@@ -317,31 +323,27 @@ class PdbMerger:
         pending: list[tuple] = []
         for raw in other.items:
             index.missed = False
-            key = _item_key(index, raw)
+            fields = _key_fields(raw)
+            key = _item_key(index, raw, fields)
             existing = keys.get(key)
             if existing is not None:
-                remap[str(raw.ref)] = str(existing.ref)
+                remap[str(raw.ref)] = existing
                 stats.duplicates_eliminated += 1
-                if raw.prefix in ("cl", "ro") and raw.get("ctempl" if raw.prefix == "cl" else "rtempl"):
+                if "ctempl" in fields or "rtempl" in fields:
                     stats.duplicate_instantiations += 1
                 continue
-            counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
-            clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
-            for a in raw.attributes:
-                clone.attributes.append(a.clone())
-            remap[str(raw.ref)] = str(clone.ref)
-            pending.append((clone, key, index.missed))
-            keys[key] = clone
+            new_id = counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
+            keys[key] = remap[str(raw.ref)] = f"{raw.prefix}#{new_id}"
+            pending.append((raw, new_id, key, index.missed))
             stats.items_added += 1
         # remap keys are exactly the ``prefix#id`` spellings of incoming
         # refs, so a plain dict probe rewrites every ref word and passes
         # every other word through
-        remap_get = remap.get
         merged_index = self._index
         items = self.doc.items
-        for clone, key, missed in pending:
-            for a in clone.attributes:
-                a.words = [remap_get(w, w) for w in a.words]
+        for raw, new_id, key, missed in pending:
+            lines = normal_lines(raw.prefix, raw.lines(), remap)
+            clone = RawItem.from_lines(raw.prefix, new_id, raw.name, lines)
             items.append(clone)
             merged_index[clone.ref] = clone
             if missed:
@@ -349,34 +351,66 @@ class PdbMerger:
         return stats
 
 
-def _item_key(index: dict, raw: RawItem) -> tuple:
-    """Identity key for merge deduplication.
+#: attributes whose location can place an item, in the order tried
+_LOC_KEYS = ("rloc", "cloc", "tloc", "nloc", "maloc", "yloc", "floc")
+
+#: per prefix, the attributes :func:`_item_key` (and, for ``cl``/``ro``,
+#: the duplicate-instantiation count) reads; other prefixes read a location
+_KEY_ATTRS = {
+    "so": frozenset(),
+    "ty": frozenset(("yclass", "ynspace")),
+    "na": frozenset(("nnspace",)),
+    "ferr": frozenset((*_LOC_KEYS, "fmsg")),
+    "te": frozenset((*_LOC_KEYS, "tkind")),
+    "cl": frozenset((*_LOC_KEYS, "cclass", "cnspace", "ctempl")),
+    "ro": frozenset((*_LOC_KEYS, "rsig", "rclass", "rnspace", "rtempl")),
+}
+_LOC_ONLY = frozenset(_LOC_KEYS)
+
+
+def _key_fields(raw: RawItem) -> dict:
+    """``attribute key -> value text`` of the first line of each
+    attribute the item's key reads, from one scan of its lines (the
+    first line with a key wins, as :meth:`RawItem.get` picks it)."""
+    wanted = _KEY_ATTRS.get(raw.prefix, _LOC_ONLY)
+    fields: dict = {}
+    if wanted:
+        for line in raw.lines():
+            key, _, rest = line.partition(" ")
+            if key in wanted and key not in fields:
+                fields[key] = rest
+    return fields
+
+
+def _item_key(index: dict, raw: RawItem, fields: dict) -> tuple:
+    """Identity key for merge deduplication; ``fields`` is
+    :func:`_key_fields` of ``raw``.
 
     Two items from separate compilations are "the same entity" when their
     kind, name, and defining source position coincide — template
     instantiations share the template's definition position, so repeated
     ``Stack<int>`` subtrees collapse (the paper's headline merge feature).
     """
-    loc_key = _loc_key(index, raw)
-    if raw.prefix == "so":
+    prefix = raw.prefix
+    if prefix == "so":
         return ("so", raw.name)
-    if raw.prefix == "ty":
-        return ("ty", raw.name, _parent_name(index, raw, "yclass", "ynspace"))
-    if raw.prefix == "ma":
+    if prefix == "ty":
+        return ("ty", raw.name, _parent_name(index, fields, "yclass", "ynspace"))
+    if prefix == "na":
+        return ("na", raw.name, _parent_name(index, fields, "nnspace"))
+    loc_key = _loc_key(index, fields)
+    if prefix == "ma":
         return ("ma", raw.name, loc_key)
-    if raw.prefix == "ferr":
+    if prefix == "ferr":
         # one record per distinct (file, position, message): re-merging
         # the same failed TU does not duplicate its error list
-        a = raw.get("fmsg")
-        return ("ferr", raw.name, loc_key, a.text if a is not None else "")
-    if raw.prefix == "na":
-        return ("na", raw.name, _parent_name(index, raw, "", "nnspace"))
-    if raw.prefix == "te":
-        return ("te", raw.name, loc_key, raw.first_word("tkind"))
-    if raw.prefix == "cl":
-        return ("cl", raw.name, _parent_name(index, raw, "cclass", "cnspace"), loc_key)
-    if raw.prefix == "ro":
-        sig = raw.get_ref("rsig")
+        return ("ferr", raw.name, loc_key, fields.get("fmsg", ""))
+    if prefix == "te":
+        return ("te", raw.name, loc_key, _first_word(fields.get("tkind")))
+    if prefix == "cl":
+        return ("cl", raw.name, _parent_name(index, fields, "cclass", "cnspace"), loc_key)
+    if prefix == "ro":
+        sig = _ref(fields.get("rsig"))
         sig_name = ""
         if sig is not None:
             sig_item = index.get(sig)
@@ -384,27 +418,47 @@ def _item_key(index: dict, raw: RawItem) -> tuple:
         return (
             "ro",
             raw.name,
-            _parent_name(index, raw, "rclass", "rnspace"),
+            _parent_name(index, fields, "rclass", "rnspace"),
             sig_name,
             loc_key,
         )
-    return (raw.prefix, raw.name, loc_key)
+    return (prefix, raw.name, loc_key)
 
 
-def _loc_key(index: dict, raw: RawItem) -> tuple:
-    for key in ("rloc", "cloc", "tloc", "nloc", "maloc", "yloc", "floc"):
-        loc = raw.get_location(key)
-        if loc is not None and loc.file is not None:
-            f = index.get(loc.file)
-            return (f.name if f is not None else "?", loc.line, loc.column)
+def _first_word(value: Optional[str]) -> Optional[str]:
+    if value is None:
+        return None
+    words = value.split(None, 1)
+    return words[0] if words else None
+
+
+def _ref(value: Optional[str]) -> Optional[ItemRef]:
+    word = _first_word(value)
+    if word is None or word == "NULL":
+        return None
+    return ItemRef.parse(word)
+
+
+def _loc_key(index: dict, fields: dict) -> tuple:
+    """(file name, line, column) of the first location attribute that
+    names a file, else ``()``."""
+    for key in _LOC_KEYS:
+        value = fields.get(key)
+        if value is None:
+            continue
+        words = value.split()
+        if len(words) < 3:
+            continue
+        file, line, column = ItemRef.parse(words[0]), int(words[1]), int(words[2])
+        if file is not None:
+            f = index.get(file)
+            return (f.name if f is not None else "?", line, column)
     return ()
 
 
-def _parent_name(index: dict, raw: RawItem, class_key: str, ns_key: str) -> str:
-    for key in (class_key, ns_key):
-        if not key:
-            continue
-        ref = raw.get_ref(key)
+def _parent_name(index: dict, fields: dict, *keys: str) -> str:
+    for key in keys:
+        ref = _ref(fields.get(key))
         if ref is not None:
             parent = index.get(ref)
             if parent is not None:

@@ -3,7 +3,9 @@
 Attributes keep their values as parsed word lists / text; the typed view
 is DUCTAPE's job.  ``RawItem`` preserves attribute order, which the
 writer reproduces byte-for-byte, making write→parse→write a fixed point
-(property-tested).
+(property-tested).  An item the reader built keeps its attribute lines
+as the stored form until a tool reads ``attributes``; the merge and the
+writer work on the lines (:meth:`RawItem.lines`).
 """
 
 from __future__ import annotations
@@ -117,17 +119,6 @@ class Attribute:
     def __repr__(self) -> str:
         return f"Attribute(key={self.key!r}, words={self.words!r}, text={self.text!r})"
 
-    def clone(self) -> "Attribute":
-        """Independent copy sharing the (interned) key and, when the
-        words are still unsplit, the raw value text."""
-        a = Attribute.__new__(Attribute)
-        a.key = self.key
-        a.text = self.text
-        w = self._words
-        a._words = list(w) if w is not None else None
-        a._rest = self._rest
-        return a
-
     def render(self) -> str:
         if self.text is not None:
             return f"{self.key} {self.text}".rstrip()
@@ -145,8 +136,10 @@ class RawItem:
     :class:`Attribute` objects on first access.  Most pipelines touch a
     fraction of a database's items, so parse time stops paying for the
     rest — the same laziness :attr:`Attribute.words` applies one level
-    down.  Everything built through ``__init__``/``add`` is eager as
-    before."""
+    down.  The lines stay the stored form through ``pdbmerge`` and the
+    writer, which read them through :meth:`lines`: an item no tool
+    reads is never materialised.  Everything built through
+    ``__init__``/``add`` is eager as before."""
 
     def __init__(
         self,
@@ -162,6 +155,26 @@ class RawItem:
             [] if attributes is None else attributes
         )
         self._raw: Optional[list[str]] = None
+
+    @classmethod
+    def from_lines(cls, prefix: str, id: int, name: str, lines: list[str]) -> "RawItem":
+        """An item holding ``lines`` as its unparsed attribute lines."""
+        item = cls.__new__(cls)
+        item.prefix = prefix
+        item.id = id
+        item.name = name
+        item._attrs = None
+        item._raw = lines
+        return item
+
+    def lines(self) -> list[str]:
+        """The attribute lines: the stored ones while the item is
+        unmaterialised, else each attribute rendered to its line.
+        Either way a line's value words are ``line.partition(" ")[2]
+        .split()``, as materialising would make them."""
+        if self._attrs is None:
+            return self._raw
+        return [a.render() for a in self._attrs]
 
     @property
     def attributes(self) -> list[Attribute]:
@@ -197,10 +210,12 @@ class RawItem:
 
     @property
     def ref(self) -> ItemRef:
-        # cached: ids never mutate (merge clones instead of renumbering)
+        # cached: ids never mutate (merge clones instead of renumbering);
+        # the spelling memo shares one ref per spelling, and its probe is
+        # cheaper than building a frozen dataclass per item
         r = self.__dict__.get("_ref")
         if r is None:
-            r = self.__dict__["_ref"] = ItemRef(self.prefix, self.id)
+            r = self.__dict__["_ref"] = ItemRef.parse(f"{self.prefix}#{self.id}")
         return r
 
     def add(self, key: str, *words: object) -> "RawItem":

@@ -13,17 +13,21 @@ keys and item prefixes are interned so every ``rloc`` in a million-line
 database is the same string object.  Attribute lines are stored unparsed
 on their item and materialised on first ``RawItem.attributes`` access,
 so parse time is O(lines) while the attribute-object cost is paid only
-for items a consumer touches.  The grammar is ASCII-only: item ids are
-ASCII digits and the separator after one is ASCII whitespace.  The
-regex reader this scanner replaced is kept as a test oracle
-(``tests/reader_oracle.py``); a differential test holds the two to one
-document, or one error message and line number, per input.
+for items a consumer touches.  The lines stay the stored form through
+``pdbmerge`` and the writer: :func:`normal_lines` gives the lines that
+rendering the materialised attributes would, with the merge's ref
+rewrite applied, and builds no attribute objects.  The grammar is
+ASCII-only: item ids are ASCII digits and the separator after one is
+ASCII whitespace.  The regex reader this scanner replaced is kept as a
+test oracle (``tests/reader_oracle.py``); a differential test holds the
+two to one document, or one error message and line number, per input.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from typing import Optional
 
 from repro.pdbfmt.items import Attribute, PdbDocument, RawItem
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS
@@ -168,6 +172,44 @@ def materialize_attrs(prefix: str, lines: list) -> list:
             a._words = None  # split lazily on first .words access
             a._rest = rest
         append(a)
+    return out
+
+
+#: whitespace a rendered line never holds: any but a single space
+_IRREGULAR = re.compile(r"[^\S\n ]|  ")
+
+
+def normal_lines(prefix: str, lines: list, remap: Optional[dict] = None) -> list:
+    """An item's attribute lines as rendering its materialised
+    attributes would give them, without building them: a text-grammar
+    line verbatim, a word-grammar line's words joined by single spaces.
+    With ``remap`` (keys are ``prefix#id`` spellings), each word of a
+    word-grammar line is first replaced by ``remap.get(word, word)``:
+    the merge's ref rewrite."""
+    # most stored lines are rendered already: one search per item
+    # finds the rare ones with other blanks to normalise
+    regular = _IRREGULAR.search("\n".join(lines)) is None
+    if regular and not remap:
+        return lines
+    ki_get = _KEY_INFO.setdefault(prefix, {}).get
+    out: list = []
+    append = out.append
+    get = remap.get if remap else None
+    for line in lines:
+        key, _, rest = line.partition(" ")
+        info = ki_get(key)
+        if info is None:
+            info = _key_info(prefix, key)
+        if info[1] or (regular and (get is None or "#" not in rest)):
+            append(line)
+            continue
+        words = rest.split()
+        if not words:
+            append(key)
+        elif get is None:
+            append(key + " " + " ".join(words))
+        else:
+            append(key + " " + " ".join([get(w, w) for w in words]))
     return out
 
 

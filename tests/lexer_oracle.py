@@ -8,8 +8,9 @@ quoted literals, and punctuators are tried longest first with
 ``startswith``.  A stray character is reported and lexing resumes by
 recursion.  It was the repository's lexer before the single-pattern
 scanner; it lives here as a test oracle only
-(``tests/test_lexer_differential.py``).  One change since: a backslash
-before CR LF is a line continuation, as a backslash before LF is.
+(``tests/test_lexer_differential.py``).  Changes since: a backslash
+before CR LF is a line continuation, as a backslash before LF is, and a
+line continuation also splices a line comment and a literal.
 """
 
 from __future__ import annotations
@@ -88,7 +89,12 @@ class Lexer:
                 self.leading_space = True
             elif ch == "/" and self._peek(1) == "/":
                 while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
+                    if self._peek() == "\\" and self._peek(1) == "\n":
+                        self._advance(2)  # spliced: the comment goes on
+                    elif self._peek() == "\\" and self._peek(1) == "\r" and self._peek(2) == "\n":
+                        self._advance(3)
+                    else:
+                        self._advance()
                 self.leading_space = True
             elif ch == "/" and self._peek(1) == "*":
                 start = self._loc()
@@ -149,7 +155,9 @@ class Lexer:
         self._advance()  # opening quote
         while self.pos < len(self.text):
             ch = self._peek()
-            if ch == "\\":
+            if ch == "\\" and self._peek(1) == "\r" and self._peek(2) == "\n":
+                self._advance(3)  # a spliced CR LF
+            elif ch == "\\":
                 self._advance(2)
             elif ch == quote:
                 self._advance()

@@ -5,12 +5,18 @@ a deep copy of the first input, then one pairwise merge per later input,
 each of which re-keys the whole accumulator.  Quadratic, so it lives
 here as a test oracle only (``tests/test_merge_differential.py``,
 ``tests/test_merge_tree.py``, the E19 merge gate).
+
+The oracle keys and copies items through their :class:`Attribute`
+objects (``get_location``, ``get_ref``, ``_clone``), the way the merge
+did before it read attribute lines; ``_item_key`` and its helpers are
+that merge's key, kept verbatim, so a differential run tests the
+line-reading key as well.
 """
 
 from __future__ import annotations
 
-from repro.ductape.pdb import PDB, MergeStats, _item_key
-from repro.pdbfmt.items import PdbDocument, RawItem
+from repro.ductape.pdb import PDB, MergeStats
+from repro.pdbfmt.items import Attribute, PdbDocument, RawItem
 
 
 def fold(pdbs: list[PDB]) -> tuple[PDB, list[MergeStats]]:
@@ -21,7 +27,7 @@ def fold(pdbs: list[PDB]) -> tuple[PDB, list[MergeStats]]:
     for raw in pdbs[0].doc.items:
         item = RawItem(prefix=raw.prefix, id=raw.id, name=raw.name)
         for a in raw.attributes:
-            item.attributes.append(a.clone())
+            item.attributes.append(_clone(a))
         base.items.append(item)
     stats = [pair_merge(base, other.doc) for other in pdbs[1:]]
     return PDB(base), stats
@@ -52,7 +58,7 @@ def pair_merge(doc: PdbDocument, other: PdbDocument) -> MergeStats:
         counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
         clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
         for a in raw.attributes:
-            clone.attributes.append(a.clone())
+            clone.attributes.append(_clone(a))
         remap[str(raw.ref)] = str(clone.ref)
         pending.append(clone)
         self_keys[key] = clone
@@ -62,3 +68,71 @@ def pair_merge(doc: PdbDocument, other: PdbDocument) -> MergeStats:
             a.words = [remap.get(w, w) for w in a.words]
         doc.items.append(clone)
     return stats
+
+
+def _clone(a: Attribute) -> Attribute:
+    """An independent copy of ``a``."""
+    return Attribute(a.key, list(a.words), a.text)
+
+
+def _item_key(index: dict, raw: RawItem) -> tuple:
+    """Identity key for merge deduplication.
+
+    Two items from separate compilations are "the same entity" when their
+    kind, name, and defining source position coincide — template
+    instantiations share the template's definition position, so repeated
+    ``Stack<int>`` subtrees collapse (the paper's headline merge feature).
+    """
+    loc_key = _loc_key(index, raw)
+    if raw.prefix == "so":
+        return ("so", raw.name)
+    if raw.prefix == "ty":
+        return ("ty", raw.name, _parent_name(index, raw, "yclass", "ynspace"))
+    if raw.prefix == "ma":
+        return ("ma", raw.name, loc_key)
+    if raw.prefix == "ferr":
+        # one record per distinct (file, position, message): re-merging
+        # the same failed TU does not duplicate its error list
+        a = raw.get("fmsg")
+        return ("ferr", raw.name, loc_key, a.text if a is not None else "")
+    if raw.prefix == "na":
+        return ("na", raw.name, _parent_name(index, raw, "", "nnspace"))
+    if raw.prefix == "te":
+        return ("te", raw.name, loc_key, raw.first_word("tkind"))
+    if raw.prefix == "cl":
+        return ("cl", raw.name, _parent_name(index, raw, "cclass", "cnspace"), loc_key)
+    if raw.prefix == "ro":
+        sig = raw.get_ref("rsig")
+        sig_name = ""
+        if sig is not None:
+            sig_item = index.get(sig)
+            sig_name = sig_item.name if sig_item is not None else ""
+        return (
+            "ro",
+            raw.name,
+            _parent_name(index, raw, "rclass", "rnspace"),
+            sig_name,
+            loc_key,
+        )
+    return (raw.prefix, raw.name, loc_key)
+
+
+def _loc_key(index: dict, raw: RawItem) -> tuple:
+    for key in ("rloc", "cloc", "tloc", "nloc", "maloc", "yloc", "floc"):
+        loc = raw.get_location(key)
+        if loc is not None and loc.file is not None:
+            f = index.get(loc.file)
+            return (f.name if f is not None else "?", loc.line, loc.column)
+    return ()
+
+
+def _parent_name(index: dict, raw: RawItem, class_key: str, ns_key: str) -> str:
+    for key in (class_key, ns_key):
+        if not key:
+            continue
+        ref = raw.get_ref(key)
+        if ref is not None:
+            parent = index.get(ref)
+            if parent is not None:
+                return f"{ref.prefix}:{parent.name}"
+    return ""

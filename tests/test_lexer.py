@@ -113,6 +113,19 @@ class TestTrivia:
         # so the continuation acts as whitespace between tokens here
         assert texts(toks) == ["ab", "cd"]
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_spliced_line_comment_swallows_next_line(self, eol):
+        # as `printf '// a \\\nint x;\ny;\n' | cpp -P` prints only `y;`
+        toks = lex(f"// a \\{eol}int x;{eol}y;{eol}")
+        assert texts(toks) == ["y", ";"]
+        assert toks[0].location.line == 3 and toks[0].at_line_start
+
+    def test_spliced_literal(self):
+        for eol in ("\n", "\r\n"):
+            s, semi = lex(f'"ab\\{eol}cd";')
+            assert s.kind is TokenKind.STRING and s.text == f'"ab\\{eol}cd"'
+            assert (semi.location.line, semi.location.column) == (2, 4)
+
     def test_leading_space_flag(self):
         a, b = lex("a b")
         assert not a.leading_space  # first on line: at_line_start instead

@@ -4,22 +4,32 @@ Random corpora of small per-TU databases, drawn from tight name, file
 and line pools so that items collide often: duplicates inside the first
 input and inside later ones, one routine or class defined at two places
 (both definitions survive), ``ferr`` records, template instantiations
-(``ctempl``/``rtempl``), and refs that do not resolve inside their own
-input (some of which resolve once the merge has grown).  Every entry
-point must give the fold's bytes and per-input :class:`MergeStats`, and
-leave its inputs unmodified.
+(``ctempl``/``rtempl``), refs that do not resolve inside their own
+input (some of which resolve once the merge has grown), unknown
+attribute keys, repeated and short location lines, and ``fmsg`` texts
+whose words look like refs.  Every entry point must give the fold's
+bytes and per-input :class:`MergeStats`, and leave its inputs
+unmodified.  The fold keys items through their attribute objects; the
+merge reads their stored lines, so the inputs are also drawn with
+irregular blanks in their attribute lines and with a random subset of
+their items materialised before the merge.
 """
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.pdbfmt.reader as reader
 from repro.ductape.pdb import PDB, MergeStats
 from repro.pdbfmt.items import PdbDocument, RawItem
 from repro.pdbfmt.reader import parse_pdb
 from repro.pdbfmt.writer import write_pdb
+from repro.tools.pdbbuild import build
 from repro.tools.pdbmerge import merge_pdb_texts_tree, merge_pdbs
+from repro.workloads.synth import SynthSpec, generate
 
 from tests.merge_oracle import fold
 
@@ -32,6 +42,8 @@ NAMES = {
     "te": ("Box", "sum"),
     "ma": ("N", "M"),
 }
+#: ``fmsg`` is text grammar: a word that looks like a ref is not one
+MESSAGES = ("broken", "bad token", "so#1 broken", "ro#2 calls  cl#1")
 
 
 @st.composite
@@ -68,7 +80,7 @@ def documents(draw) -> PdbDocument:
         if prefix == "ferr":
             item = new("ferr", "t.cpp:1: broken")
             item.add("floc", *loc())
-            item.add_text("fmsg", draw(st.sampled_from(("broken", "bad token"))))
+            item.add_text("fmsg", draw(st.sampled_from(MESSAGES)))
             continue
         item = new(prefix, draw(st.sampled_from(NAMES[prefix])))
         if prefix == "na":
@@ -97,6 +109,16 @@ def documents(draw) -> PdbDocument:
             item.add("tkind", draw(st.sampled_from(("class", "func"))))
         else:
             item.add("maloc", *loc())
+        extra = draw(st.integers(0, 7))
+        if extra == 0:
+            # an attribute the schema does not know, with a ref word
+            item.add(draw(st.sampled_from(("zref", "qnote"))), ref("ro"), "w")
+        elif extra == 1:
+            # a second location line: the key reads the first one
+            item.add(draw(st.sampled_from(("rloc", "cloc", "floc"))), *loc())
+        elif extra == 2:
+            # too short to be a location: the key tries the next one
+            item.add(draw(st.sampled_from(("rloc", "cloc", "maloc", "yloc"))), ref("so"))
     return doc
 
 
@@ -104,7 +126,12 @@ corpora = st.lists(documents(), min_size=0, max_size=6)
 
 
 def _same_as_fold(docs: list[PdbDocument]) -> None:
-    texts = [write_pdb(d) for d in docs]
+    _texts_same_as_fold([write_pdb(d) for d in docs])
+
+
+def _texts_same_as_fold(texts: list[str], touch=lambda doc: None) -> None:
+    """Every entry point merges ``texts`` as the fold does; ``touch``
+    may materialise items of an input before the merge."""
 
     def parsed() -> list[PDB]:
         return [PDB(parse_pdb(t)) for t in texts]
@@ -113,10 +140,13 @@ def _same_as_fold(docs: list[PdbDocument]) -> None:
     want_text = want.to_text()
 
     inputs = parsed()
+    for p in inputs:
+        touch(p.doc)
+    before = [p.to_text() for p in inputs]
     got, got_stats = merge_pdbs(inputs)
     assert got.to_text() == want_text
     assert got_stats == want_stats
-    assert [p.to_text() for p in inputs] == texts
+    assert [p.to_text() for p in inputs] == before
 
     merged, total, passes = merge_pdb_texts_tree(texts)
     assert merged.to_text() == want_text
@@ -128,8 +158,10 @@ def _same_as_fold(docs: list[PdbDocument]) -> None:
 
     if len(texts) == 2:
         # the two-input case, in place
-        base = PDB(parse_pdb(texts[0]))
-        assert base.merge(PDB(parse_pdb(texts[1]))) == want_stats[0]
+        base, other = parsed()
+        touch(base.doc)
+        touch(other.doc)
+        assert base.merge(other) == want_stats[0]
         assert base.to_text() == want_text
 
 
@@ -137,6 +169,80 @@ def _same_as_fold(docs: list[PdbDocument]) -> None:
 @given(corpora)
 def test_single_pass_matches_fold(docs):
     _same_as_fold(docs)
+
+
+BLANKS = (" ", " ", " ", "  ", "\t", " \t ")
+
+
+def _roughen(text: str, rnd: random.Random) -> str:
+    """``text`` with random blanks between the value words of its
+    attribute lines, before them and after them (the separator after the
+    key stays one space, so every line keeps its key)."""
+    out = []
+    for line in text.split("\n"):
+        key, sep, rest = line.partition(" ")
+        if not sep or "#" in key or line.startswith("<"):
+            out.append(line)  # header, item line, blank or key-only line
+            continue
+        words = rest.split(" ")
+        lead = rnd.choice(("", "", " ", "\t"))
+        trail = rnd.choice(("", "", " ", "\t "))
+        body = words[0] + "".join(rnd.choice(BLANKS) + w for w in words[1:])
+        out.append(key + " " + lead + body + trail)
+    return "\n".join(out)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpora, st.booleans(), st.sampled_from((0.0, 0.5)), st.randoms(use_true_random=False))
+def test_irregular_or_touched_inputs_match_fold(docs, rough, share, rnd):
+    """Stored lines with tabs and blank runs, and items an earlier
+    reader materialised (a ``share`` of them), key, merge and write as
+    the fold's attribute objects do."""
+    texts = [write_pdb(d) for d in docs]
+    if rough:
+        texts = [_roughen(t, rnd) for t in texts]
+
+    def touch(doc: PdbDocument) -> None:
+        for item in doc.items:
+            if rnd.random() < share:
+                item.attributes  # materialise
+
+    _texts_same_as_fold(texts, touch=touch)
+
+
+def test_fmsg_words_that_look_like_refs_survive():
+    first = _tu("t.cpp")
+    second = _tu("u.cpp")
+    second.add(RawItem("so", 2, "t.cpp")).add("skind", "source")
+    err = second.add(RawItem("ferr", 1, "u.cpp:1: so#2 broken"))
+    err.add("floc", "so#2", 1, 1)
+    err.add_text("fmsg", "so#2  broken\tso#1")
+    _same_as_fold([first, second])
+    merged, _ = merge_pdbs([PDB(parse_pdb(write_pdb(d))) for d in (first, second)])
+    text = merged.to_text()
+    assert "floc so#1 1 1" in text  # the ref word is rewritten...
+    assert "fmsg so#2  broken\tso#1" in text  # ...the message is not
+
+
+def test_merge_and_write_materialise_nothing(monkeypatch):
+    """A multi-TU build's merge and write read only stored lines."""
+    corpus = generate(SynthSpec(n_translation_units=3, n_templates=2))
+    texts = [build([f], files=corpus.files)[0].to_text() for f in corpus.main_files]
+    want = build(corpus.main_files, files=corpus.files)[0].to_text()
+    calls = []
+    real = reader.materialize_attrs
+
+    def counting(prefix, lines):
+        calls.append(prefix)
+        return real(prefix, lines)
+
+    monkeypatch.setattr(reader, "materialize_attrs", counting)
+    merged, stats, _ = merge_pdb_texts_tree(texts)
+    assert write_pdb(merged.doc) == want
+    assert stats.duplicates_eliminated > 0
+    assert calls == []
+    merged.doc.items[-1].attributes  # the counter does see a first touch
+    assert calls == [merged.doc.items[-1].prefix]
 
 
 def test_empty_and_single_input():

@@ -162,6 +162,22 @@ class TestLazyAttributes:
         lazy = parse_pdb(write_pdb(sample_doc())).find(ItemRef("ro", 1))
         assert lazy == eager
 
+    @pytest.mark.parametrize("irregular", [False, True])
+    def test_lazy_item_writes_as_materialised(self, irregular):
+        text = write_pdb(sample_doc())
+        if irregular:
+            text = text.replace("rloc so#1", "rloc  so#1\t").replace(" 1 ", " \t1  ")
+            text += "ferr#1 t.cpp:1: so#1 broken\nfloc \tso#1  3 1 \nfmsg  so#1\tbroken\n"
+        lazy = parse_pdb(text)
+        assert all(item._attrs is None for item in lazy.items)
+        written = write_pdb(lazy)
+        assert all(item._attrs is None for item in lazy.items)
+        for item in lazy.items:
+            item.attributes  # materialise
+        assert written == write_pdb(lazy)
+        assert ("fmsg  so#1\tbroken" in written) is irregular
+        assert "\t" not in written.replace("fmsg  so#1\tbroken", "")
+
     def test_constructed_items_stay_eager(self):
         item = RawItem("ro", 9, "f")
         assert item._attrs == [] and item._raw is None

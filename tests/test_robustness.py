@@ -57,6 +57,24 @@ class TestCascadeBound:
         with pytest.raises(TooManyErrors):
             sink.error("bad")
 
+    def test_running_counts_equal_a_recount(self):
+        from repro.cpp.diagnostics import Diagnostic, Severity
+
+        seed = [Diagnostic(Severity.WARNING, "w"), Diagnostic(Severity.ERROR, "e")]
+        sink = DiagnosticSink(fatal_errors=False, max_errors=1_000, diagnostics=seed)
+        for i in range(60):
+            [sink.note, sink.warn, sink.soft_error, sink.error][i * 7 % 4](f"d{i}")
+        fatal = DiagnosticSink(fatal_errors=True)
+        fatal.warn("w")
+        with pytest.raises(CppError):
+            fatal.error("e")
+        for s in (sink, fatal):
+            recount = [d.severity for d in s.diagnostics]
+            assert s.error_count == recount.count(Severity.ERROR)
+            assert s.warning_count == recount.count(Severity.WARNING)
+        assert (sink.error_count, sink.warning_count) == (31, 16)
+        assert (fatal.error_count, fatal.warning_count) == (1, 1)
+
     def test_too_many_errors_is_a_cpperror(self):
         # recovery handlers catch CppError; TooManyErrors must pass
         # through them only via explicit re-raise guards
