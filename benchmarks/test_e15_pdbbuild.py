@@ -24,7 +24,7 @@ from repro.tools.pdbbuild import BuildOptions, build
 from repro.workloads.stl import KAI_INCLUDE_DIR, stl_files
 from repro.workloads.synth import SynthSpec, generate
 
-#: floor of 2 so the ProcessPoolExecutor path is exercised even on 1-CPU CI
+#: floor of 2 so the worker-process path is exercised even on 1-CPU CI
 JOBS = max(2, min(4, os.cpu_count() or 2))
 
 SPEC = SynthSpec(

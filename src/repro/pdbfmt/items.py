@@ -40,9 +40,10 @@ class ItemRef:
             return ref
         if text == "NULL":
             return None
-        if "#" not in text:
-            raise ValueError(f"not an item reference: {text!r}")
+        # one spelling per ref (the one the merge rewrites): digits, no leading zero
         prefix, _, num = text.partition("#")
+        if not (num.isascii() and num.isdigit()) or (num[0] == "0" and len(num) > 1):
+            raise ValueError(f"not an item reference: {text!r}")
         ref = ItemRef(prefix, int(num))
         _REF_CACHE[text] = ref
         return ref

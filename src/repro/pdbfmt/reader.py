@@ -4,8 +4,8 @@ Tolerant by design (the format is meant to be hand-inspectable and
 hand-editable): unknown attribute keys are preserved verbatim, blank
 lines between items are optional, and attribute lines may appear in any
 order.  Malformed structure (no header, content before it, a duplicate
-header, an attribute line before any item) raises
-:class:`PdbParseError` with the offending line's number.
+header, an attribute line before any item, an item id with a leading
+zero) raises :class:`PdbParseError` with the offending line's number.
 
 One path reads every document: each line is scanned with
 ``str.partition``/slice operations and no per-line regex, and attribute
@@ -119,6 +119,9 @@ def parse_pdb(text: str) -> PdbDocument:
                 while k < n and rest[k] in _DIGITS:
                     k += 1
                 if k and (k == n or rest[k] in _WS):
+                    if rest[0] == "0" and k > 1:
+                        msg = f"item id with a leading zero: {line!r}"
+                        raise PdbParseError(msg, _line_no(lines, start, line))
                     # the line was rstripped, so anything after the
                     # ws run is the (non-empty) name; k == n: no name
                     item = new(item_cls)

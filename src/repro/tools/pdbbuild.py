@@ -45,16 +45,14 @@ The driver is fault-tolerant (docs/DESIGN.md, "Failure model"):
 * ``--keep-going-errors N`` turns on frontend error recovery, so a TU
   with user-source errors still contributes its partial IL, annotated
   with ``ferr`` diagnostic records,
-* ``--timeout`` bounds each TU's wall clock; a hung worker is abandoned
-  (its TU fails with phase ``timeout``) and the rest of the build
-  continues in a fresh pool,
-* a worker crash poisons every pending future in the pool
-  (``BrokenProcessPool`` cannot name the victim), so each affected TU is
-  retried once in an isolated single-worker pool — innocent bystanders
-  recover, the deterministic crasher fails with phase ``worker``.
+* ``--timeout`` bounds each TU's wall clock at any ``-j``: a hung TU's
+  worker is killed and the TU fails with phase ``timeout``,
+* a worker holds one TU at a time, so a crash names its TU: that TU
+  alone runs once more on a new worker, and a deterministic crasher
+  fails with phase ``worker``.
 
 Fault-injection hooks for the test harness (read inside the worker, so
-they propagate to forked pools): ``PDBBUILD_FAULT_SLEEP=<name>:<secs>``
+they propagate to forked workers): ``PDBBUILD_FAULT_SLEEP=<name>:<secs>``
 sleeps before compiling a matching TU; ``PDBBUILD_FAULT_EXIT=<name>`` or
 ``<name>:<once-marker-path>`` kills the worker process outright (with a
 marker file: only the first time).
@@ -64,14 +62,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import multiprocessing
 import os
 import sys
 import time
+import traceback
 import uuid
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Optional
 
@@ -307,7 +307,7 @@ def _apply_fault_hooks(source: str) -> None:
 
 
 #: per-process Frontend reuse: ``(fingerprint, build epoch, Frontend)``.
-#: ProcessPoolExecutor recycles worker processes, so TUs compiled by the
+#: A worker process compiles TU after TU, so TUs compiled by the
 #: same worker within one :func:`build` call share one Frontend — and
 #: with it the shared-header token cache (:mod:`repro.cpp.headercache`).
 #: The epoch scopes sharing to a single build: a later build must not
@@ -330,16 +330,16 @@ def _compile_tu(
     trace: bool = False,
     epoch: str = "",
 ) -> _TUOutput:
-    """Compile one TU to PDB text.  Top-level so worker processes can
-    unpickle it; everything it needs travels as plain data.
+    """Compile one TU to PDB text.  Everything it needs is plain data,
+    so a worker process receives it over its pipe.
 
     The compilation runs inside one ``pdbbuild.compile_tu`` span, whose
     duration is the output's ``wall_s``.  ``trace`` installs a fresh
     :class:`repro.obs.Observer` around it, so every instrumented phase
     (frontend, analyzer passes, PDB write) is collected and the spans
     ride back on the output — or, when the TU fails, on its
-    :class:`TUCompileError`.  Observers are per-call, so pool workers
-    reused across TUs never mix spans.
+    :class:`TUCompileError`.  Observers are per-call, so a worker
+    reused across TUs never mixes spans.
 
     Failure contract: raises :class:`TUCompileError` (picklable) when
     the TU cannot contribute a PDB — an unrecoverable frontend error, or
@@ -427,57 +427,92 @@ def _compile(
     )
 
 
-def _failure_from(source: str, exc: Exception, phase: str, retries: int = 0) -> TUFailure:
-    if isinstance(exc, TUCompileError):
-        observer = obs.get_observer()
-        if observer is not None:
-            # the quarantined TU's spans stay in the build's trace
-            observer.adopt(exc.spans)
-        return TUFailure(
-            source=source,
-            phase=phase,
-            error=exc.message,
-            diagnostics=list(exc.diagnostics),
-            retries=retries,
-        )
-    return TUFailure(source=source, phase=phase, error=str(exc), retries=retries)
+def _failure_from(source: str, exc: TUCompileError, retries: int = 0) -> TUFailure:
+    observer = obs.get_observer()
+    if observer is not None:
+        # the quarantined TU's spans stay in the build's trace
+        observer.adopt(exc.spans)
+    return TUFailure(source, "frontend", exc.message, list(exc.diagnostics), retries)
 
 
-def _retry_broken(
-    i: int,
-    source: str,
-    options: BuildOptions,
-    files: Optional[dict[str, str]],
-    timeout: Optional[float],
-    outputs: dict[int, "_TUOutput"],
-    failures: dict[int, TUFailure],
-    trace: bool = False,
-    epoch: str = "",
+def _worker(conn) -> None:
+    """A worker process: compile each TU the driver sends (the arguments
+    of :func:`_compile_tu`), send back the output or the exception."""
+    while (job := conn.recv()) is not None:
+        try:
+            reply = _compile_tu(*job)
+        except TUCompileError as exc:
+            reply = exc
+        except Exception as exc:  # a bug: the driver re-raises it, citing this traceback
+            exc.worker_traceback = traceback.format_exc()
+            reply = exc
+        conn.send(reply)
+
+
+def _run_workers(
+    todo: list, args: tuple, jobs: int, timeout: Optional[float], outputs: dict, failures: dict
 ) -> None:
-    """Re-run one TU whose shared-pool future died with BrokenProcessPool.
-
-    A single crashing worker poisons every pending future in the pool,
-    so most victims are innocent: rerun each once in an isolated
-    single-worker pool.  A TU that kills its worker *again* is the real
-    culprit and fails with phase ``worker``."""
-    pool = ProcessPoolExecutor(max_workers=1)
-    fut = pool.submit(_compile_tu, source, options, files, trace, epoch)
+    """Compile ``todo`` ((index, source) pairs) on up to ``jobs`` worker
+    processes, one TU per worker at a time, so every fault names its TU:
+    a dead worker's TU runs once more on a new worker (a second death is
+    phase ``worker``), and a TU past its deadline has its worker killed
+    (phase ``timeout``).  No other TU is rerun; no worker outlives the call."""
+    limit = math.inf if timeout is None else timeout
+    queue, crashed, idle = deque(todo), set(), []
+    workers: dict = {}  # conn -> process, for every live worker
+    busy: dict = {}  # conn -> (index, source, deadline)
     try:
-        outputs[i] = fut.result(timeout=timeout)
-        pool.shutdown()
-    except TUCompileError as exc:
-        pool.shutdown()
-        failures[i] = _failure_from(source, exc, "frontend", retries=1)
-    except FuturesTimeout:
-        pool.shutdown(wait=False, cancel_futures=True)
-        failures[i] = TUFailure(
-            source, "timeout", f"timed out after {timeout:g}s (on retry)", retries=1
-        )
-    except BrokenProcessPool:
-        pool.shutdown(wait=False)
-        failures[i] = TUFailure(
-            source, "worker", "worker process crashed (reproduced on retry)", retries=1
-        )
+        while queue or busy:
+            while queue and (idle or len(workers) < jobs):
+                if not idle:
+                    # the default context: forked on Linux, workers inherit the driver's modules
+                    conn, child = multiprocessing.Pipe()
+                    workers[conn] = multiprocessing.Process(target=_worker, args=(child,))
+                    workers[conn].start()
+                    child.close()
+                    idle.append(conn)
+                conn = idle.pop()
+                i, source = queue.popleft()
+                conn.send((source, *args))
+                busy[conn] = (i, source, time.monotonic() + limit)
+            left = min(d for _, _, d in busy.values()) - time.monotonic()
+            for conn in wait(list(busy), max(left, 0.0) if left < math.inf else None):
+                i, source, deadline = busy.pop(conn)
+                retries = int(i in crashed)
+                try:
+                    reply = conn.recv()
+                except EOFError:  # the worker died, or was killed at the deadline
+                    workers.pop(conn).join()
+                    conn.close()
+                    if deadline <= time.monotonic():
+                        error = f"timed out after {timeout:g}s"
+                        failures[i] = TUFailure(source, "timeout", error, retries=retries)
+                    elif retries:
+                        error = "worker process crashed (reproduced on retry)"
+                        failures[i] = TUFailure(source, "worker", error, retries=1)
+                    else:
+                        crashed.add(i)
+                        queue.appendleft((i, source))
+                    continue
+                idle.append(conn)
+                if isinstance(reply, TUCompileError):
+                    failures[i] = _failure_from(source, reply, retries)
+                elif isinstance(reply, BaseException):
+                    raise reply from RuntimeError(f"in the worker: {reply.worker_traceback}")
+                else:
+                    outputs[i] = reply
+            for conn, (_, _, deadline) in busy.items():
+                if deadline <= time.monotonic():
+                    workers[conn].kill()  # the next wait reads its EOF
+                    workers[conn].join()
+    finally:
+        for conn, proc in workers.items():
+            if conn in idle and proc.is_alive():
+                conn.send(None)
+            else:
+                proc.kill()
+            proc.join()
+            conn.close()
 
 
 def build(
@@ -503,9 +538,9 @@ def build(
     ``stats.failures``) and merges the rest — the merged output is
     byte-identical to a build that never listed the failed TUs.  Without
     it, the first failure raises :class:`TUCompileError`.  ``timeout``
-    bounds each TU's wall clock; it needs worker processes (``jobs`` >
-    1) to be enforceable, since a hung in-process compile cannot be
-    abandoned.
+    bounds each TU's wall clock: with it, TUs compile on worker
+    processes even at ``jobs=1``, and a TU past the bound has its worker
+    killed.
 
     Every wall time in ``stats`` is read from the :func:`repro.obs.observe`
     span that wraps the same work: ``total_wall_s`` is the
@@ -601,63 +636,17 @@ def _build(
                     evictions=cache.stats.evictions,
                 )
 
-    use_pool = jobs > 1 and (len(to_compile) > 1 or (to_compile and timeout))
-    if use_pool:
-        # Batches re-run whatever a mid-batch pool shutdown (hung
-        # worker) left uncollected; every batch records at least one
-        # failure before re-queueing, so the loop terminates.
-        remaining = list(to_compile)
-        while remaining:
-            batch, remaining = remaining, []
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            futures = [
-                (
-                    i,
-                    source,
-                    pool.submit(_compile_tu, source, options, files, trace, epoch),
-                )
-                for i, source in batch
-            ]
-            broken: list[tuple[int, str]] = []
-            hung = False
-            for i, source, fut in futures:
-                if hung:
-                    # the pool is shut down; keep finished results,
-                    # re-queue what was cancelled or still running
-                    if fut.done() and not fut.cancelled():
-                        try:
-                            outputs[i] = fut.result()
-                        except TUCompileError as exc:
-                            failures[i] = _failure_from(source, exc, "frontend")
-                        except BrokenProcessPool:
-                            broken.append((i, source))
-                    else:
-                        remaining.append((i, source))
-                    continue
-                try:
-                    outputs[i] = fut.result(timeout=timeout)
-                except TUCompileError as exc:
-                    failures[i] = _failure_from(source, exc, "frontend")
-                except FuturesTimeout:
-                    failures[i] = TUFailure(
-                        source, "timeout", f"timed out after {timeout:g}s"
-                    )
-                    hung = True
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except BrokenProcessPool:
-                    broken.append((i, source))
-            if not hung:
-                pool.shutdown()
-            for i, source in broken:
-                _retry_broken(
-                    i, source, options, files, timeout, outputs, failures, trace, epoch
-                )
+    # workers for parallel work, or for a deadline (a hung in-process compile can't be stopped)
+    if to_compile and (timeout is not None or (jobs > 1 and len(to_compile) > 1)):
+        _run_workers(
+            to_compile, (options, files, trace, epoch), jobs, timeout, outputs, failures
+        )
     else:
         for i, source in to_compile:
             try:
                 outputs[i] = _compile_tu(source, options, files, trace, epoch)
             except TUCompileError as exc:
-                failures[i] = _failure_from(source, exc, "frontend")
+                failures[i] = _failure_from(source, exc)
 
     if failures and not keep_going:
         first = min(failures)
@@ -849,8 +838,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--timeout",
         type=float,
         metavar="SECS",
-        help="per-TU wall-clock bound; a hung worker fails its TU "
-        "(needs -j > 1 to be enforceable)",
+        help="per-TU wall-clock bound; a hung TU's worker is killed "
+        "and the TU fails",
     )
     ap.add_argument(
         "--check",

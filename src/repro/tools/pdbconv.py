@@ -95,6 +95,7 @@ def check_pdb(pdb: PDB) -> list[str]:
                     try:
                         ref = ItemRef.parse(word)
                     except ValueError:
+                        problems.append(f"{raw.ref}: malformed reference {word}")
                         continue
                     if ref is not None and pdb.item(ref) is None:
                         problems.append(f"{raw.ref}: dangling reference {word}")

@@ -38,6 +38,8 @@ def parse_pdb_regex(text: str) -> PdbDocument:
             raise PdbParseError("content before <PDB> header", line_no)
         m = _ITEM_RE.match(line)
         if m:
+            if m.group(2)[0] == "0" and len(m.group(2)) > 1:
+                raise PdbParseError(f"item id with a leading zero: {line!r}", line_no)
             prefix, num, name = m.group(1), int(m.group(2)), m.group(3) or ""
             current = RawItem(prefix=prefix, id=num, name=name)
             doc.items.append(current)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,15 @@ def test_fmsg_words_that_look_like_refs_survive():
     text = merged.to_text()
     assert "floc so#1 1 1" in text  # the ref word is rewritten...
     assert "fmsg so#2  broken\tso#1" in text  # ...the message is not
+
+
+def test_non_canonical_ref_is_rejected_not_misrouted():
+    # the rewrite matches only ``so#1``, so ``so#01`` once kept naming
+    # the first input's a.h after b.h was renumbered so#2
+    first = "<PDB 1.0>\nso#1 a.h\n"
+    second = "<PDB 1.0>\nso#1 b.h\n\nro#1 f\nrloc so#01 3 1\n"
+    with pytest.raises(ValueError, match="so#01"):
+        merge_pdb_texts_tree([first, second])
 
 
 def test_merge_and_write_materialise_nothing(monkeypatch):

@@ -97,6 +97,11 @@ class TestReader:
         so1 = doc.find(ItemRef("so", 1))
         assert so1.get_ref("sinc") == ItemRef("so", 2)
 
+    @pytest.mark.parametrize("text", ["so#01", "so#+1", "so# 1", "so#1_0", "so#", "so#x"])
+    def test_ref_has_one_spelling(self, text):
+        with pytest.raises(ValueError):
+            ItemRef.parse(text)
+
     def test_get_location(self):
         doc = parse_pdb(write_pdb(sample_doc()))
         ro = doc.find(ItemRef("ro", 1))

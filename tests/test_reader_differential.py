@@ -158,3 +158,11 @@ def test_angle_bracket_attribute_line_stays_lazy():
     fast, oracle = _outcome(text)
     assert fast == oracle and fast[0] == "ok"
     assert doc.items[0].attributes[0].key == "<weird"
+
+
+@pytest.mark.parametrize("line", ["ro#01 f", "ro#00", "ferr#007 x.cpp:1: e"])
+def test_leading_zero_item_id_is_an_error(line):
+    """An item id has one spelling, the one the merge rewrites: both
+    readers reject a leading zero, naming the line."""
+    fast, oracle = _outcome(f"<PDB 1.0>\nso#1 a\nskind source\n{line}\n")
+    assert fast == oracle == ("err", (f"line 4: item id with a leading zero: {line!r}", 4))

@@ -9,7 +9,11 @@ TUs."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,9 @@ from repro.workloads.synth import SynthSpec, generate
 
 from tests import faults
 from tests.util import preprocess, texts
+
+#: the package source root, for tests that run a tool in a fresh interpreter
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -351,6 +358,63 @@ class TestWorkerFaults:
         assert stats.failures[0].source == mains[3]
         # every innocent bystander of the poisoned pool was retried home
         assert len(stats.tus) == 9
+
+    def test_timeout_holds_at_one_job(self, corpus10):
+        _, mains = corpus10
+        start = time.monotonic()
+        with faults.slow_tu(Path(mains[0]).name, 30):
+            _, stats = build(mains[:1], BuildOptions(), jobs=1, timeout=1, keep_going=True)
+        assert time.monotonic() - start < 10
+        assert [(f.source, f.phase) for f in stats.failures] == [(mains[0], "timeout")]
+
+    def test_no_worker_outlives_a_timeout(self, corpus10):
+        _, mains = corpus10
+        with faults.slow_tu(Path(mains[1]).name, 30):
+            _, stats = build(mains[:3], BuildOptions(), jobs=2, keep_going=True, timeout=1.5)
+        assert [f.phase for f in stats.failures] == ["timeout"]
+        assert multiprocessing.active_children() == []
+
+    def test_cli_exits_despite_a_hung_tu(self, corpus10, tmp_path):
+        _, mains = corpus10
+        stats_file = tmp_path / "stats.json"
+        env = dict(os.environ, PDBBUILD_FAULT_SLEEP=f"{Path(mains[4]).name}:600")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "repro.tools.pdbbuild", *mains[:6], "-j", "2", "-k",
+               "--timeout", "1", "--no-cache", "-o", str(tmp_path / "out.pdb"),
+               "--stats-json", str(stats_file)]
+        start = time.monotonic()
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=60)
+        assert time.monotonic() - start < 30
+        assert proc.returncode == 1
+        failures = json.loads(stats_file.read_text())["failures"]
+        assert [(f["source"], f["phase"]) for f in failures] == [(mains[4], "timeout")]
+
+    def test_crasher_and_hung_tu_fail_alone(self, corpus10):
+        _, mains = corpus10
+        with faults.crashing_tu(Path(mains[2]).name), faults.slow_tu(Path(mains[5]).name, 600):
+            merged, stats = build(mains, BuildOptions(), jobs=4, keep_going=True, timeout=1.5)
+        assert [(f.source, f.phase) for f in stats.failures] == [
+            (mains[2], "worker"), (mains[5], "timeout")
+        ]
+        good = [m for i, m in enumerate(mains) if i not in (2, 5)]
+        ref, _ = build(good, BuildOptions(), jobs=4)
+        assert merged.to_text() == ref.to_text()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched module reaches worker processes only by fork",
+    )
+    def test_worker_bug_is_reraised_with_its_traceback(self, corpus10, monkeypatch):
+        _, mains = corpus10
+
+        def planted_bug(*args):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr("repro.tools.pdbbuild._compile", planted_bug)
+        with pytest.raises(ZeroDivisionError, match="planted") as ei:
+            build(mains[:3], BuildOptions(), jobs=2, keep_going=True)
+        assert "planted_bug" in str(ei.value.__cause__)
+        assert multiprocessing.active_children() == []
 
 
 # -- cache self-healing (satellite c) -----------------------------------

@@ -45,6 +45,10 @@ class TestPdbConv:
         problems = check_pdb(pdb)
         assert any("dangling" in p for p in problems)
 
+    def test_check_detects_malformed_ref(self):
+        pdb = PDB.from_text("<PDB 1.0>\nso#1 a.h\n\nro#1 f\nrloc so#01 3 1\n")
+        assert check_pdb(pdb) == ["ro#1: malformed reference so#01"]
+
     def test_check_detects_unknown_attribute(self):
         pdb = PDB.from_text("<PDB 1.0>\nro#1 f\nrbogus x\n")
         assert any("unknown attribute" in p for p in check_pdb(pdb))
