@@ -194,6 +194,6 @@ def test_e1_emit_figure(doc, stack_tree):
     print("\n--- regenerated Figure 3 excerpts ---")
     for item in interesting:
         print(f"{item.prefix}#{item.id} {item.name}")
-        for a in item.attributes:
-            print(f"  {a.render()}")
+        for line in item.lines:
+            print(f"  {line}")
     assert interesting

@@ -260,7 +260,7 @@ class PdbMerger:
     resolves nowhere; those are re-keyed before every input, and the
     table rebuilt if any key moved.
 
-    The merge works on attribute lines (:meth:`RawItem.lines`): keys
+    The merge works on attribute lines (:attr:`RawItem.lines`): keys
     read the few values they need from them, and an appended item holds
     its source's lines with the ref words rewritten, so an item no tool
     reads is never materialised.
@@ -342,8 +342,8 @@ class PdbMerger:
         merged_index = self._index
         items = self.doc.items
         for raw, new_id, key, missed in pending:
-            lines = normal_lines(raw.prefix, raw.lines(), remap)
-            clone = RawItem.from_lines(raw.prefix, new_id, raw.name, lines)
+            lines = normal_lines(raw.prefix, raw.lines, remap)
+            clone = RawItem(raw.prefix, new_id, raw.name, lines)
             items.append(clone)
             merged_index[clone.ref] = clone
             if missed:
@@ -375,7 +375,7 @@ def _key_fields(raw: RawItem) -> dict:
     wanted = _KEY_ATTRS.get(raw.prefix, _LOC_ONLY)
     fields: dict = {}
     if wanted:
-        for line in raw.lines():
+        for line in raw.lines:
             key, _, rest = line.partition(" ")
             if key in wanted and key not in fields:
                 fields[key] = rest

@@ -1,11 +1,11 @@
 """Raw PDB item records — the document model under DUCTAPE.
 
-Attributes keep their values as parsed word lists / text; the typed view
-is DUCTAPE's job.  ``RawItem`` preserves attribute order, which the
-writer reproduces byte-for-byte, making write→parse→write a fixed point
-(property-tested).  An item the reader built keeps its attribute lines
-as the stored form until a tool reads ``attributes``; the merge and the
-writer work on the lines (:meth:`RawItem.lines`).
+An item stores its attribute lines and nothing else: the reader fills
+them, the analyzer appends to them (``RawItem.add``), the merge copies
+them with refs rewritten, and the writer emits them in order, making
+write→parse→write a fixed point (property-tested).  Attributes keep
+their values as word lists / text in a read-only view built on the
+first query; the typed view is DUCTAPE's job.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ class PdbLocation:
 
 
 class Attribute:
-    """One attribute line: key + raw value words (or verbatim text).
+    """One attribute line, read: key + value words (or verbatim text).
 
-    The word list may be held unsplit (``_rest``) by the fast reader and
-    is materialised on first :attr:`words` access — most consumers touch
-    only a few keys per item, so parse time stops paying for the rest.
-    Rendering normalises to single-space joins either way, preserving
-    the write∘parse fixed point."""
+    A view of one line of its :class:`RawItem`, built by
+    :func:`~repro.pdbfmt.reader.materialize_attrs`.  The word list is
+    held unsplit (``_rest``) and split on first :attr:`words` access —
+    most consumers touch only a few keys per item, so a query stops
+    paying for the rest."""
 
     __slots__ = ("key", "text", "_words", "_rest")
 
@@ -104,10 +104,6 @@ class Attribute:
             w = self._words = self._rest.split()
         return w
 
-    @words.setter
-    def words(self, value: list[str]) -> None:
-        self._words = value
-
     def __eq__(self, other: object):
         if other.__class__ is not Attribute:
             return NotImplemented
@@ -120,78 +116,43 @@ class Attribute:
     def __repr__(self) -> str:
         return f"Attribute(key={self.key!r}, words={self.words!r}, text={self.text!r})"
 
-    def render(self) -> str:
-        if self.text is not None:
-            return f"{self.key} {self.text}".rstrip()
-        words = self.words
-        if words:
-            return self.key + " " + " ".join(words)
-        return self.key
-
 
 class RawItem:
     """One PDB item: ``<prefix>#<id> <name>`` plus attribute lines.
 
-    The fast reader hands an item its attribute lines *unparsed*
-    (``_raw``); :attr:`attributes` materialises them into
-    :class:`Attribute` objects on first access.  Most pipelines touch a
-    fraction of a database's items, so parse time stops paying for the
-    rest — the same laziness :attr:`Attribute.words` applies one level
-    down.  The lines stay the stored form through ``pdbmerge`` and the
-    writer, which read them through :meth:`lines`: an item no tool
-    reads is never materialised.  Everything built through
-    ``__init__``/``add`` is eager as before."""
+    The attribute lines (:attr:`lines`) are the item's one stored form:
+    the reader fills them, :meth:`add`/:meth:`add_text` append to them,
+    and the merge and the writer read them.  :attr:`attributes` is a
+    read-only view of them, built on the first query together with the
+    key index behind :meth:`get`, and dropped by the next append.  An
+    item no tool queries never builds an :class:`Attribute`."""
 
-    def __init__(
-        self,
-        prefix: str,
-        id: int,
-        name: str,
-        attributes: Optional[list[Attribute]] = None,
-    ):
+    #: the attribute view and its key index, built on the first query
+    _attrs: Optional[tuple] = None
+    _index: Optional[dict] = None
+
+    def __init__(self, prefix: str, id: int, name: str, lines: Optional[list[str]] = None):
         self.prefix = prefix
         self.id = id
         self.name = name
-        self._attrs: Optional[list[Attribute]] = (
-            [] if attributes is None else attributes
-        )
-        self._raw: Optional[list[str]] = None
-
-    @classmethod
-    def from_lines(cls, prefix: str, id: int, name: str, lines: list[str]) -> "RawItem":
-        """An item holding ``lines`` as its unparsed attribute lines."""
-        item = cls.__new__(cls)
-        item.prefix = prefix
-        item.id = id
-        item.name = name
-        item._attrs = None
-        item._raw = lines
-        return item
-
-    def lines(self) -> list[str]:
-        """The attribute lines: the stored ones while the item is
-        unmaterialised, else each attribute rendered to its line.
-        Either way a line's value words are ``line.partition(" ")[2]
-        .split()``, as materialising would make them."""
-        if self._attrs is None:
-            return self._raw
-        return [a.render() for a in self._attrs]
+        self.lines: list[str] = [] if lines is None else lines
 
     @property
-    def attributes(self) -> list[Attribute]:
+    def attributes(self) -> tuple[Attribute, ...]:
         attrs = self._attrs
-        if attrs is None:
-            # deferred import: the reader already imports this module
-            from repro.pdbfmt.reader import materialize_attrs
+        return attrs if attrs is not None else self._materialize()[0]
 
-            attrs = self._attrs = materialize_attrs(self.prefix, self._raw)
-            self._raw = None
-        return attrs
+    def _materialize(self) -> tuple:
+        """Build and cache the attribute view and its key index."""
+        # deferred import: the reader already imports this module
+        from repro.pdbfmt.reader import materialize_attrs
 
-    @attributes.setter
-    def attributes(self, value: list[Attribute]) -> None:
-        self._attrs = value
-        self._raw = None
+        attrs = self._attrs = tuple(materialize_attrs(self.prefix, self.lines))
+        index: dict = {}
+        for a in attrs:
+            index.setdefault(a.key, []).append(a)
+        self._index = index
+        return attrs, index
 
     def __eq__(self, other: object):
         if other.__class__ is not RawItem:
@@ -206,7 +167,7 @@ class RawItem:
     def __repr__(self) -> str:
         return (
             f"RawItem(prefix={self.prefix!r}, id={self.id!r}, "
-            f"name={self.name!r}, attributes={self.attributes!r})"
+            f"name={self.name!r}, lines={self.lines!r})"
         )
 
     @property
@@ -220,32 +181,29 @@ class RawItem:
         return r
 
     def add(self, key: str, *words: object) -> "RawItem":
-        self.attributes.append(Attribute(key, [str(w) for w in words]))
+        self.lines.append(" ".join([key, *map(str, words)]))
+        if self._attrs is not None:
+            self._attrs = self._index = None
         return self
 
     def add_text(self, key: str, text: str) -> "RawItem":
-        self.attributes.append(Attribute(key, text=text))
+        self.lines.append(f"{key} {text}".rstrip())
+        if self._attrs is not None:
+            self._attrs = self._index = None
         return self
 
-    def _attr_index(self) -> dict:
-        """Lazy key -> [attributes] index, rebuilt when the attribute
-        list grows (``add``/reader appends; nothing ever removes or
-        re-keys an attribute in place)."""
-        cached = self.__dict__.get("_attr_idx")
-        if cached is not None and cached[1] == len(self.attributes):
-            return cached[0]
-        idx: dict = {}
-        for a in self.attributes:
-            idx.setdefault(a.key, []).append(a)
-        self.__dict__["_attr_idx"] = (idx, len(self.attributes))
-        return idx
-
     def get(self, key: str) -> Optional[Attribute]:
-        found = self._attr_index().get(key)
+        index = self._index
+        if index is None:
+            index = self._materialize()[1]
+        found = index.get(key)
         return found[0] if found else None
 
     def get_all(self, key: str) -> list[Attribute]:
-        return list(self._attr_index().get(key, ()))
+        index = self._index
+        if index is None:
+            index = self._materialize()[1]
+        return list(index.get(key, ()))
 
     def first_word(self, key: str) -> Optional[str]:
         a = self.get(key)

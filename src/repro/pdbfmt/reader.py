@@ -8,19 +8,19 @@ header, an attribute line before any item, an item id with a leading
 zero) raises :class:`PdbParseError` with the offending line's number.
 
 One path reads every document: each line is scanned with
-``str.partition``/slice operations and no per-line regex, and attribute
-keys and item prefixes are interned so every ``rloc`` in a million-line
-database is the same string object.  Attribute lines are stored unparsed
-on their item and materialised on first ``RawItem.attributes`` access,
-so parse time is O(lines) while the attribute-object cost is paid only
-for items a consumer touches.  The lines stay the stored form through
-``pdbmerge`` and the writer: :func:`normal_lines` gives the lines that
-rendering the materialised attributes would, with the merge's ref
-rewrite applied, and builds no attribute objects.  The grammar is
-ASCII-only: item ids are ASCII digits and the separator after one is
-ASCII whitespace.  The regex reader this scanner replaced is kept as a
-test oracle (``tests/reader_oracle.py``); a differential test holds the
-two to one document, or one error message and line number, per input.
+``str.partition``/slice operations and no per-line regex, and item
+prefixes are interned.  An item's attribute lines are stored unparsed
+as its ``lines``, its only stored form, so parse time is O(lines).
+:func:`materialize_attrs` builds the read-only ``RawItem.attributes``
+view, with interned keys, on the item's first query: the attribute-object
+cost is paid only for items a consumer touches.  ``pdbmerge`` and the
+writer read the lines through :func:`normal_lines`, which normalises
+their blanks (and applies the merge's ref rewrite) without building an
+attribute.  The grammar is ASCII-only: item ids are ASCII digits and the
+separator after one is ASCII whitespace.  The regex reader this scanner
+replaced is kept as a test oracle (``tests/reader_oracle.py``); a
+differential test holds the two to one document, or one error message
+and line number, per input.
 """
 
 from __future__ import annotations
@@ -37,29 +37,18 @@ _HEADER_RE = re.compile(r"^<PDB\s+([0-9.]+)>\s*$", re.ASCII)
 #: interned item prefixes — membership test and canonical object in one map
 _PREFIXES = {p: sys.intern(p) for p in ("ferr", "so", "ro", "cl", "ty", "te", "na", "ma")}
 
-#: interned attribute keys, shared with the writer and ``pdbmerge`` so a
-#: parse -> write round trip does not re-allocate identical key strings
-_KEY_INTERN: dict = {}
-
 #: per-prefix ``raw key -> (interned key, is_text_grammar)``, filled
-#: lazily so one dict probe per attribute line answers both questions
+#: lazily so one dict probe per attribute line answers both questions;
+#: interning shares one key string among all the attributes built
 _KEY_INFO: dict = {p: {} for p in _PREFIXES}
 
 _WS = " \t\r\f\v\n"
 _DIGITS = "0123456789"
 
 
-def intern_key(key: str) -> str:
-    """Return the canonical shared object for an attribute key."""
-    cached = _KEY_INTERN.get(key)
-    if cached is None:
-        cached = _KEY_INTERN[key] = sys.intern(key)
-    return cached
-
-
 def _key_info(prefix: str, key: str) -> tuple:
     """Slow path for a not-yet-seen attribute key."""
-    ikey = intern_key(key)
+    ikey = sys.intern(key)
     info = (ikey, ATTRIBUTE_SCHEMAS.get(prefix, {}).get(key) == "text")
     _KEY_INFO[prefix][ikey] = info
     return info
@@ -97,10 +86,10 @@ def parse_pdb(text: str) -> PdbDocument:
             f"attribute line outside an item: {line!r}", _line_no(lines, start, line)
         )
 
-    # bound append of the current item's raw attribute lines; until the
+    # bound append of the current item's attribute lines; until the
     # first item it is the error for an attribute line with no item, so
     # the loop never tests for that rare case
-    current_raw = outside_item
+    current_lines = outside_item
     prefixes = _PREFIXES
     new = RawItem.__new__
     item_cls = RawItem
@@ -128,17 +117,16 @@ def parse_pdb(text: str) -> PdbDocument:
                     item.prefix = iprefix
                     item.id = int(rest[:k])
                     item.name = rest[k:].lstrip(_WS)
-                    item._attrs = None
-                    raw = item._raw = []
+                    item.lines = []
                     doc_append(item)
-                    current_raw = raw.append
+                    current_lines = item.lines.append
                     continue
         if line[0] == "<" and _HEADER_RE.match(line) is not None:
             raise PdbParseError("duplicate <PDB> header", _line_no(lines, start, line))
         # attribute lines are *stored unparsed* — RawItem.attributes
-        # materialises them on first access (via materialize_attrs),
+        # materialises them on first query (via materialize_attrs),
         # so parse time is O(lines), not O(attribute objects)
-        current_raw(line)
+        current_lines(line)
     return doc
 
 
@@ -152,9 +140,9 @@ def _line_no(lines: list, start: int, line: str) -> int:
 
 
 def materialize_attrs(prefix: str, lines: list) -> list:
-    """Parse an item's raw attribute lines (the reader's deferred half,
-    called from ``RawItem.attributes`` on first access)."""
-    ki_get = _KEY_INFO[prefix].get
+    """Parse an item's attribute lines (the reader's deferred half,
+    called from ``RawItem.attributes`` on the item's first query)."""
+    ki_get = _KEY_INFO.setdefault(prefix, {}).get
     out: list = []
     append = out.append
     new = Attribute.__new__
@@ -183,9 +171,10 @@ _IRREGULAR = re.compile(r"[^\S\n ]|  ")
 
 
 def normal_lines(prefix: str, lines: list, remap: Optional[dict] = None) -> list:
-    """An item's attribute lines as rendering its materialised
-    attributes would give them, without building them: a text-grammar
-    line verbatim, a word-grammar line's words joined by single spaces.
+    """An item's attribute lines as the writer emits them, without
+    building attributes: a text-grammar line verbatim, a word-grammar
+    line's words (as ``materialize_attrs`` splits them) joined by
+    single spaces.
     With ``remap`` (keys are ``prefix#id`` spellings), each word of a
     word-grammar line is first replaced by ``remap.get(word, word)``:
     the merge's ref rewrite."""

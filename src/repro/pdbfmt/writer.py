@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.pdbfmt.items import PdbDocument
-from repro.pdbfmt.reader import intern_key, normal_lines
+from repro.pdbfmt.reader import normal_lines
 
 
 def write_pdb(doc: PdbDocument) -> str:
@@ -14,25 +14,16 @@ def write_pdb(doc: PdbDocument) -> str:
     item is preserved, so the writer is a deterministic function of the
     document and reparse→rewrite is the identity.
 
-    An item the reader has not materialised is written from its stored
-    lines (:func:`~repro.pdbfmt.reader.normal_lines`), byte for byte
-    what rendering its attributes would give, so writing a merge result
-    builds no attribute objects.  As a side effect every materialised
-    attribute's key is canonicalised into the reader's interned key
-    table — documents built in memory (analyzer output) end up sharing
-    one string object per distinct key with everything the reader
-    parses."""
+    Every item is written from its stored attribute lines through
+    :func:`~repro.pdbfmt.reader.normal_lines`, whether the reader, the
+    analyzer or the merge made it, so writing builds no attribute
+    objects."""
     with obs.observe("pdbfmt.write", cat="pdbfmt", items=len(doc.items)):
         lines: list[str] = [f"<PDB {doc.version}>", ""]
         for item in doc.items:
             name = item.name if item.name else "<anon>"
             lines.append(f"{item.prefix}#{item.id} {name}")
-            if item._attrs is None:
-                lines += normal_lines(item.prefix, item._raw)
-            else:
-                for attr in item._attrs:
-                    attr.key = intern_key(attr.key)
-                    lines.append(attr.render())
+            lines += normal_lines(item.prefix, item.lines)
             lines.append("")
         return "\n".join(lines)
 

@@ -51,7 +51,6 @@ def instrument_fortran_file(file_name: str, text: str, pdb: PDB) -> FortranInstr
         if not loc.known or loc.file().name() != file_name:
             continue
         entry = r.raw.get_location("rfexec")
-        exits = [r.raw.get_location("rexit")] if r.raw.get("rexit") else []
         exits = []
         for a in r.raw.get_all("rexit"):
             if len(a.words) >= 3 and a.words[0] != "NULL":

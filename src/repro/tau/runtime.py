@@ -214,27 +214,12 @@ class Profiler:
         different groups across profiles takes the group of the
         first profile (in sorted (n,c,t) order) that has it."""
         count = max(1, len(self.profiles))
-        out: dict[str, TimerStats] = {}
-        for name in self.all_timer_names():
-            agg = TimerStats(name=name)
-            group: Optional[str] = None
-            for key in sorted(self.profiles):
-                t = self.profiles[key].timers.get(name)
-                if t is None:
-                    continue
-                agg.calls += t.calls
-                agg.subrs += t.subrs
-                agg.inclusive += t.inclusive
-                agg.exclusive += t.exclusive
-                if group is None:
-                    group = t.group
-            if group is not None:
-                agg.group = group
+        out = self.total_stats()
+        for agg in out.values():
             agg.calls /= count
             agg.subrs /= count
             agg.inclusive /= count
             agg.exclusive /= count
-            out[name] = agg
         return out
 
     def groups(self) -> list[str]:
@@ -253,9 +238,9 @@ class Profiler:
         }
 
     def total_stats(self) -> dict[str, TimerStats]:
-        """Per-timer statistics summed over all profiles.  Group
-        resolution matches :meth:`mean_stats`: first-seen wins, in
-        sorted (n,c,t) order."""
+        """Per-timer statistics summed over all profiles (the sums
+        :meth:`mean_stats` divides).  A timer seen with different groups
+        takes the first one, in sorted (n,c,t) order."""
         out: dict[str, TimerStats] = {}
         for name in self.all_timer_names():
             agg = TimerStats(name=name)

@@ -450,13 +450,20 @@ def _worker(conn) -> None:
 
 
 def _run_workers(
-    todo: list, args: tuple, jobs: int, timeout: Optional[float], outputs: dict, failures: dict
+    todo: list, args: tuple, jobs: int, timeout: Optional[float], outputs: dict, failures: dict,
+    keep_going: bool,
 ) -> None:
     """Compile ``todo`` ((index, source) pairs) on up to ``jobs`` worker
     processes, one TU per worker at a time, so every fault names its TU:
     a dead worker's TU runs once more on a new worker (a second death is
     phase ``worker``), and a TU past its deadline has its worker killed
-    (phase ``timeout``).  No other TU is rerun; no worker outlives the call."""
+    (phase ``timeout``).  No other TU is rerun; no worker outlives the call.
+
+    Without ``keep_going`` the first failure ends the run: TUs after the
+    lowest failed index are dropped from the queue and their workers
+    killed, and only the TUs before it are awaited (all already sent, as
+    TUs go out in index order), so the failure the build raises, the
+    lowest-indexed one, does not depend on timing."""
     limit = math.inf if timeout is None else timeout
     queue, crashed, idle = deque(todo), set(), []
     workers: dict = {}  # conn -> process, for every live worker
@@ -505,6 +512,15 @@ def _run_workers(
                 if deadline <= time.monotonic():
                     workers[conn].kill()  # the next wait reads its EOF
                     workers[conn].join()
+            if failures and not keep_going:
+                first = min(failures)
+                queue = deque(job for job in queue if job[0] < first)
+                for conn in [c for c, (i, _, _) in busy.items() if i > first]:
+                    del busy[conn]
+                    proc = workers.pop(conn)
+                    proc.kill()
+                    proc.join()
+                    conn.close()
     finally:
         for conn, proc in workers.items():
             if conn in idle and proc.is_alive():
@@ -537,10 +553,11 @@ def build(
     ``keep_going`` quarantines failed TUs (recorded in
     ``stats.failures``) and merges the rest — the merged output is
     byte-identical to a build that never listed the failed TUs.  Without
-    it, the first failure raises :class:`TUCompileError`.  ``timeout``
-    bounds each TU's wall clock: with it, TUs compile on worker
-    processes even at ``jobs=1``, and a TU past the bound has its worker
-    killed.
+    it, the build stops at the first failure, compiles no later TU to
+    the end and raises the lowest-indexed failure as
+    :class:`TUCompileError`.  ``timeout`` bounds each TU's wall clock:
+    with it, TUs compile on worker processes even at ``jobs=1``, and a
+    TU past the bound has its worker killed.
 
     Every wall time in ``stats`` is read from the :func:`repro.obs.observe`
     span that wraps the same work: ``total_wall_s`` is the
@@ -639,7 +656,8 @@ def _build(
     # workers for parallel work, or for a deadline (a hung in-process compile can't be stopped)
     if to_compile and (timeout is not None or (jobs > 1 and len(to_compile) > 1)):
         _run_workers(
-            to_compile, (options, files, trace, epoch), jobs, timeout, outputs, failures
+            to_compile, (options, files, trace, epoch), jobs, timeout, outputs, failures,
+            keep_going,
         )
     else:
         for i, source in to_compile:
@@ -647,6 +665,8 @@ def _build(
                 outputs[i] = _compile_tu(source, options, files, trace, epoch)
             except TUCompileError as exc:
                 failures[i] = _failure_from(source, exc)
+                if not keep_going:
+                    break
 
     if failures and not keep_going:
         first = min(failures)

@@ -7,8 +7,10 @@ here as a test oracle only (``tests/test_merge_differential.py``,
 ``tests/test_merge_tree.py``, the E19 merge gate).
 
 The oracle keys and copies items through their :class:`Attribute`
-objects (``get_location``, ``get_ref``, ``_clone``), the way the merge
-did before it read attribute lines; ``_item_key`` and its helpers are
+objects (``get_location``, ``get_ref``, ``_copy``), the way the merge
+did before it read attribute lines: a copy is rebuilt attribute by
+attribute with ``add``/``add_text``, each ref word rewritten on its
+own.  ``_item_key`` and its helpers are
 that merge's key, kept verbatim, so a differential run tests the
 line-reading key as well.
 """
@@ -16,7 +18,7 @@ line-reading key as well.
 from __future__ import annotations
 
 from repro.ductape.pdb import PDB, MergeStats
-from repro.pdbfmt.items import Attribute, PdbDocument, RawItem
+from repro.pdbfmt.items import PdbDocument, RawItem
 
 
 def fold(pdbs: list[PDB]) -> tuple[PDB, list[MergeStats]]:
@@ -25,10 +27,7 @@ def fold(pdbs: list[PDB]) -> tuple[PDB, list[MergeStats]]:
         return PDB(), []
     base = PdbDocument(version=pdbs[0].doc.version)
     for raw in pdbs[0].doc.items:
-        item = RawItem(prefix=raw.prefix, id=raw.id, name=raw.name)
-        for a in raw.attributes:
-            item.attributes.append(_clone(a))
-        base.items.append(item)
+        base.items.append(_copy(raw, raw.id, {}))
     stats = [pair_merge(base, other.doc) for other in pdbs[1:]]
     return PDB(base), stats
 
@@ -45,7 +44,7 @@ def pair_merge(doc: PdbDocument, other: PdbDocument) -> MergeStats:
     counters: dict[str, int] = {}
     for raw in doc.items:
         counters[raw.prefix] = max(counters.get(raw.prefix, 0), raw.id)
-    pending: list[RawItem] = []
+    pending: list[tuple] = []
     for raw in other.items:
         key = _item_key(other_index, raw)
         existing = self_keys.get(key)
@@ -57,22 +56,26 @@ def pair_merge(doc: PdbDocument, other: PdbDocument) -> MergeStats:
             continue
         counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
         clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
-        for a in raw.attributes:
-            clone.attributes.append(_clone(a))
         remap[str(raw.ref)] = str(clone.ref)
-        pending.append(clone)
+        pending.append((raw, clone.id))
         self_keys[key] = clone
         stats.items_added += 1
-    for clone in pending:
-        for a in clone.attributes:
-            a.words = [remap.get(w, w) for w in a.words]
-        doc.items.append(clone)
+    # copied once every ref of ``other`` has its new spelling
+    for raw, new_id in pending:
+        doc.items.append(_copy(raw, new_id, remap))
     return stats
 
 
-def _clone(a: Attribute) -> Attribute:
-    """An independent copy of ``a``."""
-    return Attribute(a.key, list(a.words), a.text)
+def _copy(raw: RawItem, new_id: int, remap: dict) -> RawItem:
+    """An independent copy of ``raw`` as item ``new_id``, each value
+    word ``w`` of a word-grammar attribute replaced by ``remap.get(w, w)``."""
+    item = RawItem(prefix=raw.prefix, id=new_id, name=raw.name)
+    for a in raw.attributes:
+        if a.text is not None:
+            item.add_text(a.key, a.text)
+        else:
+            item.add(a.key, *[remap.get(w, w) for w in a.words])
+    return item
 
 
 def _item_key(index: dict, raw: RawItem) -> tuple:

@@ -1,9 +1,12 @@
 """The regex PDB reader: the reference the scanner in ``parse_pdb`` is held to.
 
-One header regex and one item regex per line, attributes parsed eagerly.
-It was the repository's reader before the partition/slice scanner, then
-that scanner's error-reporting fallback; it lives here as a test oracle
-only (``tests/test_reader_differential.py``, the E19 reader gate).
+One header regex and one item regex per line, attributes split eagerly
+into :class:`Attribute` objects and rendered back to lines by the
+oracle's own code, so neither ``materialize_attrs`` nor ``normal_lines``
+stands behind its answer.  It was the repository's reader before the
+partition/slice scanner, then that scanner's error-reporting fallback;
+it lives here as a test oracle only (``tests/test_reader_differential.py``,
+the E19 reader gate).
 Both regexes are ASCII-only, so ``\\d`` and ``\\s`` mean what the
 scanner's digit and whitespace sets mean.
 """
@@ -46,12 +49,33 @@ def parse_pdb_regex(text: str) -> PdbDocument:
             continue
         if current is None:
             raise PdbParseError(f"attribute line outside an item: {line!r}", line_no)
-        key, _, rest = line.partition(" ")
-        grammar = ATTRIBUTE_SCHEMAS.get(current.prefix, {}).get(key)
-        if grammar == "text":
-            current.attributes.append(Attribute(key, text=rest))
-        else:
-            current.attributes.append(Attribute(key, words=rest.split()))
+        current.lines.append(_render(_attribute(current.prefix, line)))
     if doc is None:
         raise PdbParseError("empty input: missing <PDB> header", 0)
     return doc
+
+
+def attributes_regex(item: RawItem) -> tuple[Attribute, ...]:
+    """The attributes of an item :func:`parse_pdb_regex` built."""
+    return tuple(_attribute(item.prefix, line) for line in item.lines)
+
+
+def write_pdb_regex(doc: PdbDocument) -> str:
+    """A document :func:`parse_pdb_regex` built, as text."""
+    out = [f"<PDB {doc.version}>", ""]
+    for item in doc.items:
+        out += [f"{item.prefix}#{item.id} {item.name or '<anon>'}", *item.lines, ""]
+    return "\n".join(out)
+
+
+def _attribute(prefix: str, line: str) -> Attribute:
+    key, _, rest = line.partition(" ")
+    if ATTRIBUTE_SCHEMAS.get(prefix, {}).get(key) == "text":
+        return Attribute(key, text=rest)
+    return Attribute(key, words=rest.split())
+
+
+def _render(a: Attribute) -> str:
+    if a.text is not None:
+        return f"{a.key} {a.text}".rstrip()
+    return " ".join([a.key, *a.words])

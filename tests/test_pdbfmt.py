@@ -11,6 +11,7 @@ from repro.pdbfmt import (
     parse_pdb,
     write_pdb,
 )
+from repro.pdbfmt.items import Attribute
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS, ITEM_TYPES
 
 
@@ -150,9 +151,10 @@ class TestLazyAttributes:
     def test_parse_defers_materialisation(self):
         doc = parse_pdb(write_pdb(sample_doc()))
         ro = doc.find(ItemRef("ro", 1))
-        assert ro._attrs is None and ro._raw is not None
+        lines = list(ro.lines)
+        assert ro._attrs is None and lines
         attrs = ro.attributes  # first touch materialises...
-        assert ro._attrs is attrs and ro._raw is None
+        assert ro._attrs is attrs and ro.lines == lines  # ...a view: the lines stay
         assert ro.attributes is attrs  # ...exactly once
 
     def test_mutation_after_parse_sticks(self):
@@ -183,11 +185,45 @@ class TestLazyAttributes:
         assert ("fmsg  so#1\tbroken" in written) is irregular
         assert "\t" not in written.replace("fmsg  so#1\tbroken", "")
 
-    def test_constructed_items_stay_eager(self):
+    def test_constructed_items_store_lines(self):
         item = RawItem("ro", 9, "f")
-        assert item._attrs == [] and item._raw is None
         item.add("rloc", "so#1", 1, 1)
-        assert len(item.attributes) == 1
+        item.add_text("rsig", "")
+        assert item.lines == ["rloc so#1 1 1", "rsig"]
+        assert item._attrs is None  # built like a parsed item: no view yet
+        assert len(item.attributes) == 2
+
+    def test_attributes_are_read_only(self):
+        item = parse_pdb(write_pdb(sample_doc())).find(ItemRef("ro", 1))
+        with pytest.raises(AttributeError):
+            item.attributes.append(Attribute("racs", ["PUB"]))
+        with pytest.raises(AttributeError):
+            item.get("rloc").words = ["so#2", "1", "1"]
+        with pytest.raises(AttributeError):
+            item.attributes = ()
+
+    def test_add_after_query_is_seen(self):
+        item = parse_pdb(write_pdb(sample_doc())).find(ItemRef("ro", 2))
+        assert item.get("racs") is None and item.get_all("rcall") == []  # the view is built
+        item.add("racs", "PUB")
+        item.add("rcall", "ro#1", "no", "so#2", 9, 9)
+        assert item.get("racs").words == ["PUB"]
+        assert [a.words for a in item.get_all("rcall")] == [["ro#1", "no", "so#2", "9", "9"]]
+        assert item.lines[-2:] == ["racs PUB", "rcall ro#1 no so#2 9 9"]
+        doc = PdbDocument(items=[item])
+        assert write_pdb(doc).endswith("racs PUB\nrcall ro#1 no so#2 9 9\n")
+
+    def test_built_item_equals_its_parsed_twin(self):
+        doc = PdbDocument()
+        item = doc.add(RawItem("ro", 1, "f"))
+        item.add("rloc", "so#1 3", 4)
+        item.add("rcall", "ro#2\tno", "so#1  5 6")
+        item.add_text("rsig", "int (int)")
+        twin = parse_pdb(write_pdb(doc)).items[0]
+        assert item.get("rloc").words == ["so#1", "3", "4"] == twin.get("rloc").words
+        assert item.get("rcall").words == twin.get("rcall").words
+        assert item == twin
+        assert write_pdb(doc) == write_pdb(PdbDocument(items=[twin]))
 
 
 class TestSpec:

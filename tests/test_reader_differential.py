@@ -21,7 +21,7 @@ from repro.pdbfmt.writer import write_pdb
 from repro.tools.pdbmerge import merge_pdbs
 from repro.workloads.synth import SynthSpec, generate
 
-from tests.reader_oracle import parse_pdb_regex
+from tests.reader_oracle import attributes_regex, parse_pdb_regex, write_pdb_regex
 
 #: characters a loose grammar might take for digits or whitespace:
 #: ARABIC-INDIC DIGIT ONE/TWO, NO-BREAK SPACE, EM SPACE
@@ -61,15 +61,24 @@ def e12_text() -> str:
 
 def _outcome(text: str):
     """Parse with both readers, normalising each to ('ok', rendered) /
-    ('err', (message, line number))."""
-
-    def run(parse):
-        try:
-            return ("ok", write_pdb(parse(text)))
-        except PdbParseError as e:
-            return ("err", (str(e), e.line_no))
-
-    return run(parse_pdb), run(parse_pdb_regex)
+    ('err', (message, line number)).  Each side renders with its own
+    code, and the scanner's attribute views must equal the oracle's
+    eager split."""
+    try:
+        oracle_doc = parse_pdb_regex(text)
+        oracle = ("ok", write_pdb_regex(oracle_doc))
+    except PdbParseError as e:
+        oracle = ("err", (str(e), e.line_no))
+    try:
+        doc = parse_pdb(text)
+        fast = ("ok", write_pdb(doc))
+    except PdbParseError as e:
+        return ("err", (str(e), e.line_no)), oracle
+    if oracle[0] == "ok":
+        assert [i.attributes for i in doc.items] == [
+            attributes_regex(i) for i in oracle_doc.items
+        ]
+    return fast, oracle
 
 
 def _mutate(lines: list[str], rng: random.Random) -> list[str]:
@@ -151,10 +160,11 @@ def test_non_ascii_id_or_separator_is_an_attribute(line):
 
 def test_angle_bracket_attribute_line_stays_lazy():
     """A non-header line starting with '<' is an ordinary attribute line:
-    the document parses on the one path, attributes still unparsed."""
+    the document parses on the one path, the line stored unparsed."""
     text = "<PDB 1.0>\nso#1 a\n<weird x y\n"
     doc = parse_pdb(text)
-    assert doc.items[0]._raw is not None  # not yet materialised
+    assert doc.items[0].lines == ["<weird x y"]
+    assert doc.items[0]._attrs is None  # not yet materialised
     fast, oracle = _outcome(text)
     assert fast == oracle and fast[0] == "ok"
     assert doc.items[0].attributes[0].key == "<weird"

@@ -22,6 +22,7 @@ from repro.buildcache import BuildCache
 from repro.cpp import CppError, DiagnosticSink, Frontend, FrontendOptions, TooManyErrors
 from repro.cpp.preprocessor import Preprocessor
 from repro.cpp.source import SourceLocation, SourceManager
+from repro.tools import pdbbuild
 from repro.tools.pdbbuild import (
     BuildOptions,
     TUCompileError,
@@ -225,6 +226,54 @@ class TestKeepGoing:
             build(mains, BuildOptions(), jobs=4)
         assert ei.value.source == mains[2]
         assert ei.value.diagnostics
+
+    def test_without_keep_going_one_job_stops_at_first_failure(self, corpus10, monkeypatch):
+        _, mains = corpus10
+        faults.break_tu(Path(mains[0]))
+        calls = []
+        real = pdbbuild._compile_tu
+
+        def counting(source, *args):
+            calls.append(source)
+            return real(source, *args)
+
+        monkeypatch.setattr(pdbbuild, "_compile_tu", counting)
+        with pytest.raises(TUCompileError) as ei:
+            build(mains[:7], BuildOptions(), jobs=1)
+        assert ei.value.source == mains[0]
+        assert calls == [mains[0]]
+
+    def test_without_keep_going_a_failure_ends_a_parallel_build(self, corpus10):
+        _, mains = corpus10
+        faults.break_tu(Path(mains[0]))
+        start = time.monotonic()
+        with faults.slow_tu(Path(mains[1]).name, 20), pytest.raises(TUCompileError) as ei:
+            build(mains[:2], BuildOptions(), jobs=2)
+        assert time.monotonic() - start < 10
+        assert ei.value.source == mains[0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched module reaches worker processes only by fork",
+    )
+    def test_without_keep_going_the_lowest_failure_is_raised(self, corpus10, monkeypatch):
+        # c fails first and b next, while a (good) is still compiling;
+        # d, good but slow, would be sent when c's worker frees up
+        _, mains = corpus10
+        a, b, c, d = mains[:4]
+        faults.break_tu(Path(b))
+        faults.break_tu(Path(c))
+        delays = {a: 2.0, b: 0.5, d: 30.0}
+        monkeypatch.setattr(
+            pdbbuild, "_apply_fault_hooks", lambda source: time.sleep(delays.get(source, 0))
+        )
+        start = time.monotonic()
+        with pytest.raises(TUCompileError) as ei:
+            build([a, b, c, d], BuildOptions(), jobs=3)
+        assert time.monotonic() - start < 10
+        assert ei.value.source == b
+        assert multiprocessing.active_children() == []
 
     def test_failed_tus_are_not_cached(self, corpus10, tmp_path):
         _, mains = corpus10
