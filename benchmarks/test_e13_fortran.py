@@ -62,7 +62,7 @@ def test_e13_derived_type_components(f90_pdb):
 def test_e13_interface_aliases(f90_pdb):
     aliased = [r for r in f90_pdb.getRoutineVec() if r.raw.get("ralias")]
     assert {r.name() for r in aliased} == {"residual_scalar", "residual_field"}
-    assert all(r.raw.get("ralias").words == ["residual"] for r in aliased)
+    assert all(r.raw.get("ralias").split() == ["residual"] for r in aliased)
 
 
 def test_e13_entry_exit_points(f90_pdb):

@@ -59,25 +59,34 @@ def _timed_builds(corpus, repeats, trace=False):
     return walls
 
 
+#: interleaved (traced, plain) build pairs; the first pair warms up and
+#: is dropped.  A build takes ~0.15 s, and five pairs let one busy spell
+#: on a shared 2-vCPU host cross the gate; nineteen measured pairs keep
+#: the median pair ratio within a few percent of the true cost
+OVERHEAD_PAIRS = 20
+
+
 def test_e17_disabled_overhead_within_budget(corpus):
     """Acceptance: instrumentation with no observer installed costs
-    under the budget (median over repeated serial builds)."""
+    under the budget (median of the traced/plain ratio over interleaved
+    pairs of serial builds)."""
     assert not obs.is_enabled()
-    # interleave the two arms so drift (cache warmup, frequency
-    # scaling) hits both equally; first pair warms up and is dropped
+    # the two builds of a pair run back to back, so drift (cache warmup,
+    # frequency scaling, a neighbour's burst) hits both alike; the arm
+    # that runs first alternates, so neither arm always pays the first slot
     base_walls, traced_walls = [], []
-    for _ in range(6):
-        traced_walls.extend(_timed_builds(corpus, 1, trace=True))
-        base_walls.extend(_timed_builds(corpus, 1, trace=False))
-    base = statistics.median(base_walls[1:])
-    traced = statistics.median(traced_walls[1:])
-    overhead = traced / base - 1.0
+    for i in range(OVERHEAD_PAIRS):
+        arms = [(traced_walls, True), (base_walls, False)]
+        for walls, trace in arms if i % 2 == 0 else reversed(arms):
+            walls.extend(_timed_builds(corpus, 1, trace=trace))
+    ratios = [t / b for t, b in zip(traced_walls[1:], base_walls[1:])]
+    overhead = statistics.median(ratios) - 1.0
     print(
         f"\n--- E17 observability overhead ({len(corpus.main_files)} TUs) ---\n"
-        f"  plain build : {base:8.3f}s (median of {len(base_walls) - 1})\n"
-        f"  traced build: {traced:8.3f}s (median of {len(traced_walls) - 1})\n"
-        f"  overhead    : {overhead:+8.1%}  (budget {OVERHEAD_BUDGET:.0%}, "
-        f"gate {OVERHEAD_GATE:.0%})"
+        f"  plain build : {statistics.median(base_walls[1:]):8.3f}s (median of {len(ratios)})\n"
+        f"  traced build: {statistics.median(traced_walls[1:]):8.3f}s (median of {len(ratios)})\n"
+        f"  overhead    : {overhead:+8.1%}  (median of {len(ratios)} pair ratios; budget "
+        f"{OVERHEAD_BUDGET:.0%}, gate {OVERHEAD_GATE:.0%})"
     )
     assert overhead < OVERHEAD_GATE
 

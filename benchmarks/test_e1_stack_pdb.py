@@ -49,7 +49,7 @@ def test_e1_pipeline_benchmark(benchmark):
 
 def test_e1_header_and_sinc_chain(doc):
     header = find(doc, "so", "StackAr.h")
-    inc_names = {doc.find(ItemRef.parse(a.words[0])).name for a in header.get_all("sinc")}
+    inc_names = {doc.find(ItemRef.parse(a.split()[0])).name for a in header.get_all("sinc")}
     # "(so#66) 'includes' the implementation file StackAr.cpp (so#73)"
     assert "StackAr.cpp" in inc_names
     assert "dsexceptions.h" in inc_names
@@ -58,14 +58,14 @@ def test_e1_header_and_sinc_chain(doc):
 
 def test_e1_test_file_includes_header(doc):
     test_file = find(doc, "so", "TestStackAr.cpp")
-    incs = {doc.find(ItemRef.parse(a.words[0])).name for a in test_file.get_all("sinc")}
+    incs = {doc.find(ItemRef.parse(a.split()[0])).name for a in test_file.get_all("sinc")}
     assert "StackAr.h" in incs
 
 
 def test_e1_class_template_item(doc):
     te = find(doc, "te", "Stack")
     assert te.first_word("tkind") == "class"
-    assert te.get("ttext").text.startswith("template <class Object>")
+    assert te.get("ttext").startswith("template <class Object>")
     loc = te.get_location("tloc")
     assert doc.find(loc.file).name == "StackAr.h"
 
@@ -73,7 +73,7 @@ def test_e1_class_template_item(doc):
 def test_e1_push_memfunc_template(doc):
     te = find(doc, "te", "push")
     assert te.first_word("tkind") == "memfunc"
-    assert "Stack<Object>::" in te.get("ttext").text
+    assert "Stack<Object>::" in te.get("ttext")
     loc = te.get_location("tloc")
     assert doc.find(loc.file).name == "StackAr.cpp"
 
@@ -85,15 +85,14 @@ def test_e1_stack_int_class_item(doc):
     assert deref(doc, cl, "ctempl").name == "Stack"
     # member functions listed with their locations
     funcs = cl.get_all("cfunc")
-    names = {doc.find(ItemRef.parse(a.words[0])).name for a in funcs}
+    names = {doc.find(ItemRef.parse(a.split()[0])).name for a in funcs}
     assert {"push", "isEmpty", "isFull", "top", "pop", "makeEmpty", "topAndPop"} <= names
     # cmem groups: theArray then topOfStack, both private vars
-    mems = [a.text for a in cl.attributes if a.key == "cmem"]
-    assert mems == ["theArray", "topOfStack"]
-    kinds = [a.words[0] for a in cl.attributes if a.key == "cmacs"]
+    assert cl.get_all("cmem") == ["theArray", "topOfStack"]
+    kinds = [v.split()[0] for v in cl.get_all("cmacs")]
     assert kinds == ["priv", "priv"]
     # theArray's type is the class vector<int> (cmtype cl#N, Figure 3)
-    mtypes = [a.words[0] for a in cl.attributes if a.key == "cmtype"]
+    mtypes = [v.split()[0] for v in cl.get_all("cmtype")]
     assert mtypes[0].startswith("cl#")
     assert doc.find(ItemRef.parse(mtypes[0])).name == "vector<int>"
     assert doc.find(ItemRef.parse(mtypes[1])).name == "int"
@@ -113,7 +112,7 @@ def test_e1_push_routine_item(doc):
     loc = ro.get_location("rloc")
     assert doc.find(loc.file).name == "StackAr.cpp"
     # rcall rows: isFull, the Overflow ctor, operator[]
-    callees = {doc.find(ItemRef.parse(a.words[0])).name for a in ro.get_all("rcall")}
+    callees = {doc.find(ItemRef.parse(a.split()[0])).name for a in ro.get_all("rcall")}
     assert "isFull" in callees
     assert "Overflow" in callees
     assert "operator[]" in callees
@@ -121,7 +120,7 @@ def test_e1_push_routine_item(doc):
 
 def test_e1_isfull_calls_vector_size(doc):
     ro = find(doc, "ro", "isFull")
-    callees = {doc.find(ItemRef.parse(a.words[0])).name for a in ro.get_all("rcall")}
+    callees = {doc.find(ItemRef.parse(a.split()[0])).name for a in ro.get_all("rcall")}
     assert "size" in callees  # Figure 3 (10): rcall ro#31
 
 
@@ -132,9 +131,9 @@ def test_e1_push_signature_type(doc):
     assert sig.name == "void (const int &)"
     assert sig.first_word("ykind") == "func"
     assert deref(doc, sig, "yrett").name == "void"
-    arg_ref = ItemRef.parse(sig.get("yargt").words[0])
+    arg_ref = ItemRef.parse(sig.get("yargt").split()[0])
     assert doc.find(arg_ref).name == "const int &"
-    assert sig.get("yargt").words[-1] == "F"
+    assert sig.get("yargt").split()[-1] == "F"
 
 
 def test_e1_const_member_signature(doc):
@@ -142,7 +141,7 @@ def test_e1_const_member_signature(doc):
     sig = deref(doc, ro, "rsig")
     # (17): bool () const
     assert sig.name == "bool () const"
-    assert sig.get("yqual").words == ["const"]
+    assert sig.get("yqual").split() == ["const"]
 
 
 def test_e1_type_chain(doc):

@@ -99,7 +99,7 @@ def doc():
 def emitted_attributes(doc, prefix) -> set[str]:
     keys: set[str] = set()
     for item in doc.by_prefix(prefix):
-        keys.update(a.key for a in item.attributes)
+        keys.update(line.partition(" ")[0] for line in item.lines)
     return keys
 
 

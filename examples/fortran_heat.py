@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  type {cls.name():<12} -> class cl#{cls.id()} ({comps})")
     for r in pdb.getRoutineVec():
         alias = r.raw.get("ralias")
-        tag = f"  alias: {alias.words[0]}" if alias else ""
+        tag = f"  alias: {alias.split()[0]}" if alias else ""
         print(f"  {r.fullName():<30} -> ro#{r.id()}{tag}")
 
     print("\n=== static call graph (unchanged pdbtree) ===")

@@ -82,10 +82,6 @@ class ExprParserMixin(TypeParserMixin):
 
     # -- entry points --------------------------------------------------------
 
-    def parse_expression(self) -> ExprInfo:
-        """assignment-expression (no top-level comma)."""
-        return self._parse_assignment()
-
     def parse_comma_expression(self) -> ExprInfo:
         e = self._parse_assignment()
         while self.at(","):

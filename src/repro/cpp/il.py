@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cpp.cpptypes import FunctionType, Type, TypeTable
 from repro.cpp.source import SourceFile, SourceLocation
@@ -288,13 +288,6 @@ class Class(Declaration):
                 return r
         return None
 
-    def all_members(self) -> Iterator[Declaration]:
-        yield from self.fields
-        yield from self.routines
-        yield from self.inner_classes
-        yield from self.inner_enums
-        yield from self.inner_typedefs
-
 
 class Enum(Declaration):
     """An enumeration with (name, value) enumerators."""
@@ -450,16 +443,6 @@ class ILTree:
         return v
 
     # -- queries --------------------------------------------------------
-
-    def instantiated_entities(self) -> list[Declaration]:
-        """All template instantiations present in the IL (used-mode result)."""
-        out: list[Declaration] = []
-        out.extend(c for c in self.all_classes if c.is_instantiation)
-        out.extend(r for r in self.all_routines if r.is_instantiation)
-        return out
-
-    def defined_routines(self) -> list[Routine]:
-        return [r for r in self.all_routines if r.defined]
 
     def find_routine(self, full_name: str) -> Optional[Routine]:
         for r in self.all_routines:

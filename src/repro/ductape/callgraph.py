@@ -64,12 +64,3 @@ class CallTree:
             # a closed (abandoned) generator must still reset the flags
             for r, _calls, _depth in stack:
                 r.flag(INACTIVE)
-
-    def reachable_from(self, root: PdbRoutine) -> list[PdbRoutine]:
-        seen: dict = {}
-        for r, _depth, _virt, _cyc in self.walk(root):
-            seen.setdefault(r.ref, r)
-        return list(seen.values())
-
-    def edge_count(self) -> int:
-        return sum(len(r.callees()) for r in self.routines)

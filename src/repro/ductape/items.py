@@ -1,12 +1,14 @@
 """DUCTAPE item classes — the hierarchy of paper Figure 4.
 
-Wrappers over :class:`repro.pdbfmt.items.RawItem` records.  The
-cross-item references the tools follow over and over — single refs
-(``_ref_attr``: parents, signature, template), body positions and the
-qualified name — resolve on first touch and are memoised on the
-wrapper, so each resolves once per :class:`PDB`; resolved calls,
-callers, derived classes and roots live in the PDB's lazily built
-program graph (:class:`~repro.ductape.graph.ProgramGraph`).
+Wrappers over :class:`repro.pdbfmt.items.RawItem` records.  A wrapper
+reads its record's value texts through the record's key index
+(``get``/``get_all``, ``first_word``/``get_ref``) and splits a value
+into words itself.  The cross-item references the tools follow over
+and over — single refs (``_ref_attr``: parents, signature, template),
+body positions and the qualified name — resolve on first touch and are
+memoised on the wrapper, so each resolves once per :class:`PDB`;
+resolved calls, callers, derived classes and roots live in the PDB's
+lazily built program graph (:class:`~repro.ductape.graph.ProgramGraph`).
 ``PDB._reindex`` (run by merge) drops the wrappers and the graph.  A
 list-valued query returns a fresh list.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from repro.pdbfmt.items import Attribute, ItemRef, RawItem
+from repro.pdbfmt.items import ItemRef, RawItem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ductape.pdb import PDB
@@ -59,7 +61,7 @@ class PdbSimpleItem:
         self._pdb = pdb
         self._raw = raw
         self._flag = INACTIVE
-        #: attribute key -> its resolved value: the item (``_ref_attr``)
+        #: attribute key -> its parsed value: the item (``_ref_attr``)
         #: or the body positions; each key has one grammar, so it has
         #: one entry.  ``"fullName"`` (no attribute key) holds the
         #: qualified name.
@@ -109,7 +111,7 @@ class PdbSimpleItem:
     def _ref_list(self, key: str) -> list:
         """The items the ``key`` lines name, in order, dangling refs left
         out."""
-        resolved = (self._resolve(ItemRef.parse(a.words[0])) for a in self._raw.get_all(key))
+        resolved = (self._resolve(ItemRef.parse(v.split()[0])) for v in self._raw.get_all(key))
         return [x for x in resolved if x is not None]
 
     def _loc_from_words(self, words: list[str]) -> PdbLoc:
@@ -144,8 +146,8 @@ class PdbItem(PdbSimpleItem):
     _acs_key = ""
 
     def location(self) -> PdbLoc:
-        a = self._raw.get(self._loc_key)
-        return self._loc_from_words(a.words if a else [])
+        value = self._raw.get(self._loc_key)
+        return self._loc_from_words(value.split() if value is not None else [])
 
     def parentClass(self) -> Optional["PdbClass"]:
         return self._ref_attr(self._class_key) if self._class_key else None
@@ -184,8 +186,7 @@ class PdbMacro(PdbItem):
         return self._word_attr("makind", "def")
 
     def text(self) -> str:
-        a = self._raw.get("matext")
-        return a.text or "" if a is not None else ""
+        return self._raw.get("matext") or ""
 
 
 class PdbFerr(PdbItem):
@@ -208,8 +209,7 @@ class PdbFerr(PdbItem):
         return self._word_attr("fkind", "parse")
 
     def message(self) -> str:
-        a = self._raw.get("fmsg")
-        return a.text or "" if a is not None else ""
+        return self._raw.get("fmsg") or ""
 
     def render(self) -> str:
         """Format like a compiler diagnostic: ``file:line:col: error: msg``."""
@@ -249,17 +249,17 @@ class PdbType(PdbItem):
         return self._word_attr("yellip") == "yes"
 
     def isConst(self) -> bool:
-        a = self._raw.get("yqual")
-        return a is not None and "const" in a.words
+        value = self._raw.get("yqual")
+        return value is not None and "const" in value.split()
 
     def exceptionTypes(self) -> list[PdbSimpleItem]:
         return self._ref_list("yexcep")
 
     def enumerators(self) -> list[tuple[str, int]]:
         out = []
-        for a in self._raw.get_all("yename"):
-            if len(a.words) >= 2:
-                out.append((a.words[0], int(a.words[1])))
+        for w in map(str.split, self._raw.get_all("yename")):
+            if len(w) >= 2:
+                out.append((w[0], int(w[1])))
         return out
 
 
@@ -281,21 +281,15 @@ class PdbFatItem(PdbItem):
         return self._pos_loc(3)
 
     def _pos_loc(self, index: int) -> PdbLoc:
-        resolved = self._memo.get(self._pos_key)
-        if resolved is None:
-            locs = self._raw.get_positions(self._pos_key) or []
-            resolved = [
-                PdbLoc(
-                    self._resolve(loc.file) if loc.file is not None else None,
-                    loc.line,
-                    loc.column,
-                )
-                for loc in locs
-            ]
-            self._memo[self._pos_key] = resolved
-        if index >= len(resolved):
+        # only the asked-for position is resolved: a definition test
+        # (``bodyBegin().known``) resolves one file, not four
+        locs = self._memo.get(self._pos_key)
+        if locs is None:
+            locs = self._memo[self._pos_key] = self._raw.get_positions(self._pos_key) or []
+        if index >= len(locs):
             return PdbLoc(None, 0, 0)
-        return resolved[index]
+        loc = locs[index]
+        return PdbLoc(self._resolve(loc.file), loc.line, loc.column)
 
 
 class PdbTemplate(PdbFatItem):
@@ -317,8 +311,7 @@ class PdbTemplate(PdbFatItem):
         return self._word_attr("tkind", self.TE_CLASS)
 
     def text(self) -> str:
-        a = self._raw.get("ttext")
-        return a.text or "" if a is not None else ""
+        return self._raw.get("ttext") or ""
 
     def parentClass(self):
         # tclass may reference a te (owner class template) or a cl
@@ -337,9 +330,9 @@ class PdbNamespace(PdbFatItem):
 
     def aliases(self) -> list[tuple[str, "PdbNamespace"]]:
         out = []
-        for a in self._raw.get_all("nalias"):
-            target = self._resolve(ItemRef.parse(a.words[0]))
-            alias = a.words[1] if len(a.words) > 1 else ""
+        for w in map(str.split, self._raw.get_all("nalias")):
+            target = self._resolve(ItemRef.parse(w[0]))
+            alias = w[1] if len(w) > 1 else ""
             if target is not None:
                 out.append((alias, target))
         return out
@@ -430,12 +423,12 @@ class PdbRoutine(PdbTemplateItem):
     def parameters(self) -> list[tuple[Optional[PdbSimpleItem], str, bool]]:
         """(type item, name, has_default) per declared parameter."""
         out = []
-        for a in self._raw.get_all("rarg"):
-            if not a.words:
+        for w in map(str.split, self._raw.get_all("rarg")):
+            if not w:
                 continue
-            t = self._resolve(ItemRef.parse(a.words[0]))
-            name = a.words[1] if len(a.words) > 1 else "_"
-            has_default = len(a.words) > 2 and a.words[2] == "D"
+            t = self._resolve(ItemRef.parse(w[0]))
+            name = w[1] if len(w) > 1 else "_"
+            has_default = len(w) > 2 and w[2] == "D"
             out.append((t, name, has_default))
         return out
 
@@ -447,11 +440,11 @@ class PdbRoutine(PdbTemplateItem):
         record per ``rcall`` line, unresolved callees included."""
         return [
             PdbCall(
-                self._resolve(ItemRef.parse(a.words[0])),
-                len(a.words) > 1 and a.words[1] == "virt",
-                self._loc_from_words(a.words[2:5]),
+                self._resolve(ItemRef.parse(w[0])),
+                len(w) > 1 and w[1] == "virt",
+                self._loc_from_words(w[2:5]),
             )
-            for a in self._raw.get_all("rcall")
+            for w in map(str.split, self._raw.get_all("rcall"))
         ]
 
     def callers(self) -> list["PdbRoutine"]:
@@ -461,31 +454,34 @@ class PdbRoutine(PdbTemplateItem):
 class PdbMember:
     """One data member of a class (a ``cmem`` attribute group)."""
 
-    def __init__(self, owner: "PdbClass", name: str, attrs: dict[str, Attribute]):
+    def __init__(self, owner: "PdbClass", name: str, values: dict[str, str]):
         self._owner = owner
         self._name = name
-        self._attrs = attrs
+        #: cm* key -> the value text of its line in this group
+        self._values = values
+
+    def _words(self, key: str) -> list[str]:
+        return self._values.get(key, "").split()
 
     def name(self) -> str:
         return self._name
 
     def location(self) -> PdbLoc:
-        a = self._attrs.get("cmloc")
-        return self._owner._loc_from_words(a.words if a else [])
+        return self._owner._loc_from_words(self._words("cmloc"))
 
     def access(self) -> str:
-        a = self._attrs.get("cmacs")
-        return a.words[0] if a and a.words else "NA"
+        w = self._words("cmacs")
+        return w[0] if w else "NA"
 
     def kind(self) -> str:
-        a = self._attrs.get("cmkind")
-        return a.words[0] if a and a.words else "var"
+        w = self._words("cmkind")
+        return w[0] if w else "var"
 
     def type(self) -> Optional[PdbSimpleItem]:
-        a = self._attrs.get("cmtype")
-        if a is None or not a.words or a.words[0] == "NULL":
+        w = self._words("cmtype")
+        if not w or w[0] == "NULL":
             return None
-        return self._owner._resolve(ItemRef.parse(a.words[0]))
+        return self._owner._resolve(ItemRef.parse(w[0]))
 
 
 class PdbClass(PdbTemplateItem):
@@ -505,12 +501,12 @@ class PdbClass(PdbTemplateItem):
     def baseClasses(self) -> list[tuple[str, bool, "PdbClass"]]:
         """Direct bases: (access, is_virtual, class)."""
         out = []
-        for a in self._raw.get_all("cbase"):
-            if len(a.words) < 3:
+        for w in map(str.split, self._raw.get_all("cbase")):
+            if len(w) < 3:
                 continue
-            base = self._resolve(ItemRef.parse(a.words[2]))
+            base = self._resolve(ItemRef.parse(w[2]))
             if base is not None:
-                out.append((a.words[0], a.words[1] == "virt", base))
+                out.append((w[0], w[1] == "virt", base))
         return out
 
     def derivedClasses(self) -> list["PdbClass"]:
@@ -529,15 +525,16 @@ class PdbClass(PdbTemplateItem):
         """The ``cmem`` groups: each member with its cm* detail lines."""
         out: list[PdbMember] = []
         current_name: Optional[str] = None
-        current: dict[str, Attribute] = {}
-        for a in self._raw.attributes:
-            if a.key == "cmem":
+        current: dict[str, str] = {}
+        for line in self._raw.lines:
+            key, _, value = line.partition(" ")
+            if key == "cmem":
                 if current_name is not None:
                     out.append(PdbMember(self, current_name, current))
-                current_name = (a.text or "").strip()
+                current_name = value.strip()
                 current = {}
-            elif a.key in ("cmloc", "cmacs", "cmkind", "cmtype") and current_name is not None:
-                current[a.key] = a
+            elif key in ("cmloc", "cmacs", "cmkind", "cmtype") and current_name is not None:
+                current[key] = value
         if current_name is not None:
             out.append(PdbMember(self, current_name, current))
         return out

@@ -260,10 +260,12 @@ class PdbMerger:
     resolves nowhere; those are re-keyed before every input, and the
     table rebuilt if any key moved.
 
-    The merge works on attribute lines (:attr:`RawItem.lines`): keys
-    read the few values they need from them, and an appended item holds
-    its source's lines with the ref words rewritten, so an item no tool
-    reads is never materialised.
+    The merge works on attribute lines (:attr:`RawItem.lines`): a key
+    reads the few values it needs through its item's key index if a
+    query already built one, else through a throwaway twin of the item
+    (:func:`_key_view`), so the index it builds dies with the twin; an
+    appended item holds its source's lines with the ref words
+    rewritten.  The merge builds no key index on any item it emits.
 
     The merge only deduplicates.  Two *different* definitions of one
     entity keep distinct keys and both survive, for the ``odr`` check
@@ -289,7 +291,7 @@ class PdbMerger:
         self._dangling: list[tuple] = []
         for raw in self.doc.items:
             index.missed = False
-            key = _item_key(index, raw, _key_fields(raw))
+            key = _item_key(index, _key_view(raw))
             self._keys[key] = str(raw.ref)
             if index.missed:
                 self._dangling.append((raw, key))
@@ -302,7 +304,7 @@ class PdbMerger:
         still = []
         for raw, key in self._dangling:
             index.missed = False
-            now = _item_key(index, raw, _key_fields(raw))
+            now = _item_key(index, _key_view(raw))
             moved = moved or now != key
             if index.missed:
                 still.append((raw, now))
@@ -323,13 +325,16 @@ class PdbMerger:
         pending: list[tuple] = []
         for raw in other.items:
             index.missed = False
-            fields = _key_fields(raw)
-            key = _item_key(index, raw, fields)
+            view = _key_view(raw)
+            key = _item_key(index, view)
             existing = keys.get(key)
             if existing is not None:
                 remap[str(raw.ref)] = existing
                 stats.duplicates_eliminated += 1
-                if "ctempl" in fields or "rtempl" in fields:
+                prefix = raw.prefix
+                if prefix in ("cl", "ro") and (
+                    view.get("ctempl" if prefix == "cl" else "rtempl") is not None
+                ):
                     stats.duplicate_instantiations += 1
                 continue
             new_id = counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
@@ -354,37 +359,17 @@ class PdbMerger:
 #: attributes whose location can place an item, in the order tried
 _LOC_KEYS = ("rloc", "cloc", "tloc", "nloc", "maloc", "yloc", "floc")
 
-#: per prefix, the attributes :func:`_item_key` (and, for ``cl``/``ro``,
-#: the duplicate-instantiation count) reads; other prefixes read a location
-_KEY_ATTRS = {
-    "so": frozenset(),
-    "ty": frozenset(("yclass", "ynspace")),
-    "na": frozenset(("nnspace",)),
-    "ferr": frozenset((*_LOC_KEYS, "fmsg")),
-    "te": frozenset((*_LOC_KEYS, "tkind")),
-    "cl": frozenset((*_LOC_KEYS, "cclass", "cnspace", "ctempl")),
-    "ro": frozenset((*_LOC_KEYS, "rsig", "rclass", "rnspace", "rtempl")),
-}
-_LOC_ONLY = frozenset(_LOC_KEYS)
+
+def _key_view(raw: RawItem) -> RawItem:
+    """``raw`` itself when it already has a key index, else a throwaway
+    twin over the same lines, so the key reads leave no index behind."""
+    if raw._index is not None:
+        return raw
+    return RawItem(raw.prefix, raw.id, raw.name, raw.lines)
 
 
-def _key_fields(raw: RawItem) -> dict:
-    """``attribute key -> value text`` of the first line of each
-    attribute the item's key reads, from one scan of its lines (the
-    first line with a key wins, as :meth:`RawItem.get` picks it)."""
-    wanted = _KEY_ATTRS.get(raw.prefix, _LOC_ONLY)
-    fields: dict = {}
-    if wanted:
-        for line in raw.lines:
-            key, _, rest = line.partition(" ")
-            if key in wanted and key not in fields:
-                fields[key] = rest
-    return fields
-
-
-def _item_key(index: dict, raw: RawItem, fields: dict) -> tuple:
-    """Identity key for merge deduplication; ``fields`` is
-    :func:`_key_fields` of ``raw``.
+def _item_key(index: dict, raw: RawItem) -> tuple:
+    """Identity key for merge deduplication.
 
     Two items from separate compilations are "the same entity" when their
     kind, name, and defining source position coincide — template
@@ -395,22 +380,22 @@ def _item_key(index: dict, raw: RawItem, fields: dict) -> tuple:
     if prefix == "so":
         return ("so", raw.name)
     if prefix == "ty":
-        return ("ty", raw.name, _parent_name(index, fields, "yclass", "ynspace"))
+        return ("ty", raw.name, _parent_name(index, raw, "yclass", "ynspace"))
     if prefix == "na":
-        return ("na", raw.name, _parent_name(index, fields, "nnspace"))
-    loc_key = _loc_key(index, fields)
+        return ("na", raw.name, _parent_name(index, raw, "nnspace"))
+    loc_key = _loc_key(index, raw)
     if prefix == "ma":
         return ("ma", raw.name, loc_key)
     if prefix == "ferr":
         # one record per distinct (file, position, message): re-merging
         # the same failed TU does not duplicate its error list
-        return ("ferr", raw.name, loc_key, fields.get("fmsg", ""))
+        return ("ferr", raw.name, loc_key, raw.get("fmsg") or "")
     if prefix == "te":
-        return ("te", raw.name, loc_key, _first_word(fields.get("tkind")))
+        return ("te", raw.name, loc_key, raw.first_word("tkind"))
     if prefix == "cl":
-        return ("cl", raw.name, _parent_name(index, fields, "cclass", "cnspace"), loc_key)
+        return ("cl", raw.name, _parent_name(index, raw, "cclass", "cnspace"), loc_key)
     if prefix == "ro":
-        sig = _ref(fields.get("rsig"))
+        sig = raw.get_ref("rsig")
         sig_name = ""
         if sig is not None:
             sig_item = index.get(sig)
@@ -418,32 +403,18 @@ def _item_key(index: dict, raw: RawItem, fields: dict) -> tuple:
         return (
             "ro",
             raw.name,
-            _parent_name(index, fields, "rclass", "rnspace"),
+            _parent_name(index, raw, "rclass", "rnspace"),
             sig_name,
             loc_key,
         )
     return (prefix, raw.name, loc_key)
 
 
-def _first_word(value: Optional[str]) -> Optional[str]:
-    if value is None:
-        return None
-    words = value.split(None, 1)
-    return words[0] if words else None
-
-
-def _ref(value: Optional[str]) -> Optional[ItemRef]:
-    word = _first_word(value)
-    if word is None or word == "NULL":
-        return None
-    return ItemRef.parse(word)
-
-
-def _loc_key(index: dict, fields: dict) -> tuple:
+def _loc_key(index: dict, raw: RawItem) -> tuple:
     """(file name, line, column) of the first location attribute that
     names a file, else ``()``."""
     for key in _LOC_KEYS:
-        value = fields.get(key)
+        value = raw.get(key)
         if value is None:
             continue
         words = value.split()
@@ -456,9 +427,9 @@ def _loc_key(index: dict, fields: dict) -> tuple:
     return ()
 
 
-def _parent_name(index: dict, fields: dict, *keys: str) -> str:
+def _parent_name(index: dict, raw: RawItem, *keys: str) -> str:
     for key in keys:
-        ref = _ref(fields.get(key))
+        ref = raw.get_ref(key)
         if ref is not None:
             parent = index.get(ref)
             if parent is not None:

@@ -3,9 +3,10 @@
 An item stores its attribute lines and nothing else: the reader fills
 them, the analyzer appends to them (``RawItem.add``), the merge copies
 them with refs rewritten, and the writer emits them in order, making
-write→parse→write a fixed point (property-tested).  Attributes keep
-their values as word lists / text in a read-only view built on the
-first query; the typed view is DUCTAPE's job.
+write→parse→write a fixed point (property-tested).  Queries read the
+lines through a key index built on the first one: a value is the text
+after the key, and splitting it into words, or resolving its refs, is
+the caller's job (DUCTAPE's typed view).
 """
 
 from __future__ import annotations
@@ -78,57 +79,17 @@ class PdbLocation:
         return PdbLocation(None, 0, 0)
 
 
-class Attribute:
-    """One attribute line, read: key + value words (or verbatim text).
-
-    A view of one line of its :class:`RawItem`, built by
-    :func:`~repro.pdbfmt.reader.materialize_attrs`.  The word list is
-    held unsplit (``_rest``) and split on first :attr:`words` access —
-    most consumers touch only a few keys per item, so a query stops
-    paying for the rest."""
-
-    __slots__ = ("key", "text", "_words", "_rest")
-
-    def __init__(
-        self, key: str, words: Optional[list[str]] = None, text: Optional[str] = None
-    ):
-        self.key = key
-        self.text = text  # for "text"-grammar attributes
-        self._words = [] if words is None else words
-        self._rest = None
-
-    @property
-    def words(self) -> list[str]:
-        w = self._words
-        if w is None:
-            w = self._words = self._rest.split()
-        return w
-
-    def __eq__(self, other: object):
-        if other.__class__ is not Attribute:
-            return NotImplemented
-        return (
-            self.key == other.key
-            and self.text == other.text
-            and self.words == other.words
-        )
-
-    def __repr__(self) -> str:
-        return f"Attribute(key={self.key!r}, words={self.words!r}, text={self.text!r})"
-
-
 class RawItem:
     """One PDB item: ``<prefix>#<id> <name>`` plus attribute lines.
 
     The attribute lines (:attr:`lines`) are the item's one stored form:
     the reader fills them, :meth:`add`/:meth:`add_text` append to them,
-    and the merge and the writer read them.  :attr:`attributes` is a
-    read-only view of them, built on the first query together with the
-    key index behind :meth:`get`, and dropped by the next append.  An
-    item no tool queries never builds an :class:`Attribute`."""
+    and the merge and the writer read them.  Every query reads them
+    through one key index, built on the first query and dropped by the
+    next append; an item no tool queries never builds one.  A value is
+    a string: callers that want its words split it."""
 
-    #: the attribute view and its key index, built on the first query
-    _attrs: Optional[tuple] = None
+    #: the key index behind every query, built on the first one
     _index: Optional[dict] = None
 
     def __init__(self, prefix: str, id: int, name: str, lines: Optional[list[str]] = None):
@@ -137,31 +98,33 @@ class RawItem:
         self.name = name
         self.lines: list[str] = [] if lines is None else lines
 
-    @property
-    def attributes(self) -> tuple[Attribute, ...]:
-        attrs = self._attrs
-        return attrs if attrs is not None else self._materialize()[0]
-
-    def _materialize(self) -> tuple:
-        """Build and cache the attribute view and its key index."""
-        # deferred import: the reader already imports this module
-        from repro.pdbfmt.reader import materialize_attrs
-
-        attrs = self._attrs = tuple(materialize_attrs(self.prefix, self.lines))
-        index: dict = {}
-        for a in attrs:
-            index.setdefault(a.key, []).append(a)
-        self._index = index
-        return attrs, index
+    def _values(self) -> dict:
+        """The key index: ``key -> value texts`` in line order, a line's
+        key being its text before the first space and its value the
+        rest, verbatim."""
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for line in self.lines:
+                key, _, value = line.partition(" ")
+                values = index.get(key)
+                if values is None:
+                    index[key] = [value]
+                else:
+                    values.append(value)
+        return index
 
     def __eq__(self, other: object):
         if other.__class__ is not RawItem:
             return NotImplemented
+        # deferred import: the reader already imports this module
+        from repro.pdbfmt.reader import normal_lines
+
         return (
             self.prefix == other.prefix
             and self.id == other.id
             and self.name == other.name
-            and self.attributes == other.attributes
+            and normal_lines(self.prefix, self.lines) == normal_lines(other.prefix, other.lines)
         )
 
     def __repr__(self) -> str:
@@ -182,36 +145,34 @@ class RawItem:
 
     def add(self, key: str, *words: object) -> "RawItem":
         self.lines.append(" ".join([key, *map(str, words)]))
-        if self._attrs is not None:
-            self._attrs = self._index = None
+        if self._index is not None:
+            self._index = None
         return self
 
     def add_text(self, key: str, text: str) -> "RawItem":
         self.lines.append(f"{key} {text}".rstrip())
-        if self._attrs is not None:
-            self._attrs = self._index = None
+        if self._index is not None:
+            self._index = None
         return self
 
-    def get(self, key: str) -> Optional[Attribute]:
+    def get(self, key: str) -> Optional[str]:
+        """The value text of the first ``key`` line, or None."""
         index = self._index
-        if index is None:
-            index = self._materialize()[1]
-        found = index.get(key)
-        return found[0] if found else None
+        if index is None:  # the hottest read: no call once the index exists
+            index = self._values()
+        values = index.get(key)
+        return values[0] if values else None
 
-    def get_all(self, key: str) -> list[Attribute]:
-        index = self._index
-        if index is None:
-            index = self._materialize()[1]
-        return list(index.get(key, ()))
+    def get_all(self, key: str) -> list[str]:
+        """The value texts of every ``key`` line, in order (a fresh list)."""
+        return list(self._values().get(key, ()))
 
     def first_word(self, key: str) -> Optional[str]:
-        a = self.get(key)
-        if a is None:
+        value = self.get(key)
+        if value is None:
             return None
-        if a.text is not None:
-            return a.text.split()[0] if a.text.split() else None
-        return a.words[0] if a.words else None
+        words = value.split(None, 1)
+        return words[0] if words else None
 
     def get_ref(self, key: str) -> Optional[ItemRef]:
         w = self.first_word(key)
@@ -220,19 +181,22 @@ class RawItem:
         return ItemRef.parse(w)
 
     def get_location(self, key: str) -> Optional[PdbLocation]:
-        a = self.get(key)
-        if a is None or len(a.words) < 3:
+        value = self.get(key)
+        if value is None:
             return None
-        return PdbLocation(ItemRef.parse(a.words[0]), int(a.words[1]), int(a.words[2]))
+        w = value.split()
+        if len(w) < 3:
+            return None
+        return PdbLocation(ItemRef.parse(w[0]), int(w[1]), int(w[2]))
 
     def get_positions(self, key: str) -> Optional[list[PdbLocation]]:
         """``*pos`` attributes hold four locations: header begin/end then
         body begin/end."""
-        a = self.get(key)
-        if a is None:
+        value = self.get(key)
+        if value is None:
             return None
         locs: list[PdbLocation] = []
-        w = a.words
+        w = value.split()
         for i in range(0, len(w) - 2, 3):
             locs.append(PdbLocation(ItemRef.parse(w[i]), int(w[i + 1]), int(w[i + 2])))
         return locs

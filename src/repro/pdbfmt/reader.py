@@ -10,17 +10,16 @@ zero) raises :class:`PdbParseError` with the offending line's number.
 One path reads every document: each line is scanned with
 ``str.partition``/slice operations and no per-line regex, and item
 prefixes are interned.  An item's attribute lines are stored unparsed
-as its ``lines``, its only stored form, so parse time is O(lines).
-:func:`materialize_attrs` builds the read-only ``RawItem.attributes``
-view, with interned keys, on the item's first query: the attribute-object
-cost is paid only for items a consumer touches.  ``pdbmerge`` and the
-writer read the lines through :func:`normal_lines`, which normalises
-their blanks (and applies the merge's ref rewrite) without building an
-attribute.  The grammar is ASCII-only: item ids are ASCII digits and the
-separator after one is ASCII whitespace.  The regex reader this scanner
-replaced is kept as a test oracle (``tests/reader_oracle.py``); a
-differential test holds the two to one document, or one error message
-and line number, per input.
+as its ``lines``, its only stored form, so parse time is O(lines); a
+query reads them through the item's key index, built on its first
+query (:class:`~repro.pdbfmt.items.RawItem`).
+``pdbmerge``, the writer and the tools that print every attribute read
+the lines through :func:`normal_lines`, which normalises their blanks
+(and applies the merge's ref rewrite).  The grammar is ASCII-only:
+item ids are ASCII digits and the separator after one is ASCII
+whitespace.  The regex reader this scanner replaced is kept as a test
+oracle (``tests/reader_oracle.py``); a differential test holds the two
+to one document, or one error message and line number, per input.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import re
 import sys
 from typing import Optional
 
-from repro.pdbfmt.items import Attribute, PdbDocument, RawItem
+from repro.pdbfmt.items import PdbDocument, RawItem
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS
 
 _HEADER_RE = re.compile(r"^<PDB\s+([0-9.]+)>\s*$", re.ASCII)
@@ -37,21 +36,14 @@ _HEADER_RE = re.compile(r"^<PDB\s+([0-9.]+)>\s*$", re.ASCII)
 #: interned item prefixes — membership test and canonical object in one map
 _PREFIXES = {p: sys.intern(p) for p in ("ferr", "so", "ro", "cl", "ty", "te", "na", "ma")}
 
-#: per-prefix ``raw key -> (interned key, is_text_grammar)``, filled
-#: lazily so one dict probe per attribute line answers both questions;
-#: interning shares one key string among all the attributes built
-_KEY_INFO: dict = {p: {} for p in _PREFIXES}
+#: per prefix, the attribute keys whose value is text, kept verbatim
+_TEXT_KEYS = {
+    prefix: frozenset(key for key, grammar in schema.items() if grammar == "text")
+    for prefix, schema in ATTRIBUTE_SCHEMAS.items()
+}
 
 _WS = " \t\r\f\v\n"
 _DIGITS = "0123456789"
-
-
-def _key_info(prefix: str, key: str) -> tuple:
-    """Slow path for a not-yet-seen attribute key."""
-    ikey = sys.intern(key)
-    info = (ikey, ATTRIBUTE_SCHEMAS.get(prefix, {}).get(key) == "text")
-    _KEY_INFO[prefix][ikey] = info
-    return info
 
 
 class PdbParseError(Exception):
@@ -123,9 +115,9 @@ def parse_pdb(text: str) -> PdbDocument:
                     continue
         if line[0] == "<" and _HEADER_RE.match(line) is not None:
             raise PdbParseError("duplicate <PDB> header", _line_no(lines, start, line))
-        # attribute lines are *stored unparsed* — RawItem.attributes
-        # materialises them on first query (via materialize_attrs),
-        # so parse time is O(lines), not O(attribute objects)
+        # attribute lines are *stored unparsed*: a query splits them
+        # into the item's key index on first use, so parse time is
+        # O(lines)
         current_lines(line)
     return doc
 
@@ -139,42 +131,14 @@ def _line_no(lines: list, start: int, line: str) -> int:
     return next(i + 1 for i in range(start + 1, len(lines)) if lines[i].rstrip() == line)
 
 
-def materialize_attrs(prefix: str, lines: list) -> list:
-    """Parse an item's attribute lines (the reader's deferred half,
-    called from ``RawItem.attributes`` on the item's first query)."""
-    ki_get = _KEY_INFO.setdefault(prefix, {}).get
-    out: list = []
-    append = out.append
-    new = Attribute.__new__
-    attr_cls = Attribute
-    for line in lines:
-        key, _, rest = line.partition(" ")
-        info = ki_get(key)
-        if info is None:
-            info = _key_info(prefix, key)
-        a = new(attr_cls)
-        a.key = info[0]
-        if info[1]:
-            a.text = rest
-            a._words = []
-            a._rest = None
-        else:
-            a.text = None
-            a._words = None  # split lazily on first .words access
-            a._rest = rest
-        append(a)
-    return out
-
-
 #: whitespace a rendered line never holds: any but a single space
 _IRREGULAR = re.compile(r"[^\S\n ]|  ")
 
 
 def normal_lines(prefix: str, lines: list, remap: Optional[dict] = None) -> list:
-    """An item's attribute lines as the writer emits them, without
-    building attributes: a text-grammar line verbatim, a word-grammar
-    line's words (as ``materialize_attrs`` splits them) joined by
-    single spaces.
+    """An item's attribute lines as the writer emits them: a
+    text-grammar line verbatim, a word-grammar line's words (its value
+    text ``split()``) joined by single spaces.
     With ``remap`` (keys are ``prefix#id`` spellings), each word of a
     word-grammar line is first replaced by ``remap.get(word, word)``:
     the merge's ref rewrite."""
@@ -183,16 +147,13 @@ def normal_lines(prefix: str, lines: list, remap: Optional[dict] = None) -> list
     regular = _IRREGULAR.search("\n".join(lines)) is None
     if regular and not remap:
         return lines
-    ki_get = _KEY_INFO.setdefault(prefix, {}).get
+    text_keys = _TEXT_KEYS.get(prefix, ())
     out: list = []
     append = out.append
     get = remap.get if remap else None
     for line in lines:
         key, _, rest = line.partition(" ")
-        info = ki_get(key)
-        if info is None:
-            info = _key_info(prefix, key)
-        if info[1] or (regular and (get is None or "#" not in rest)):
+        if key in text_keys or (regular and (get is None or "#" not in rest)):
             append(line)
             continue
         words = rest.split()

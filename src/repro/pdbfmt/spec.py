@@ -161,13 +161,3 @@ EMBEDDED_REF_WORDS: dict[str, list[int]] = {
     "cbase": [2, 3],   # access, virt, class ref, file ref
     "yargt": [0],
 }
-
-
-def is_known_attribute(prefix: str, key: str) -> bool:
-    """Whether ``key`` belongs to the schema of item type ``prefix``."""
-    return key in ATTRIBUTE_SCHEMAS.get(prefix, {})
-
-
-def attribute_grammar(prefix: str, key: str) -> str:
-    """The value grammar (ref/loc/pos/text/words) of one attribute."""
-    return ATTRIBUTE_SCHEMAS[prefix][key]

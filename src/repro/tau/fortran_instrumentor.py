@@ -52,9 +52,9 @@ def instrument_fortran_file(file_name: str, text: str, pdb: PDB) -> FortranInstr
             continue
         entry = r.raw.get_location("rfexec")
         exits = []
-        for a in r.raw.get_all("rexit"):
-            if len(a.words) >= 3 and a.words[0] != "NULL":
-                exits.append(int(a.words[1]))
+        for w in map(str.split, r.raw.get_all("rexit")):
+            if len(w) >= 3 and w[0] != "NULL":
+                exits.append(int(w[1]))
         if entry is None or entry.file is None:
             continue
         timer = r.fullName()

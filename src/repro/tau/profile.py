@@ -95,13 +95,6 @@ def format_mean_profile(profiler: Profiler, top: Optional[int] = None) -> str:
     return format_stats_table(stats, total=total, title=f"FUNCTION SUMMARY (mean over {n} nodes):", top=top)
 
 
-def format_total_profile(profiler: Profiler, top: Optional[int] = None) -> str:
-    """Sum-over-nodes display (TAU's "total" view)."""
-    stats = profiler.total_stats()
-    total = sum(p.total_time() for p in profiler.profiles.values())
-    return format_stats_table(stats, total=total, title="FUNCTION SUMMARY (total):", top=top)
-
-
 def format_bars(
     profiler: Profiler,
     node: Optional[int] = None,

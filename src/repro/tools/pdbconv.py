@@ -22,6 +22,7 @@ from typing import Optional
 from repro.ductape.items import PdbItem
 from repro.ductape.pdb import PDB
 from repro.pdbfmt.items import ItemRef
+from repro.pdbfmt.reader import normal_lines
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS, ITEM_TYPES
 
 _KIND_LABELS = {
@@ -53,12 +54,11 @@ def convert_pdb(pdb: PDB) -> str:
                 )
             if item.access() != "NA":
                 lines.append(f"    access:     {item.access()}")
-        for attr in raw.attributes:
-            if attr.key.endswith("loc") or attr.key in ("rclass", "rnspace", "cclass", "cnspace", "racs", "cacs", "tacs", "yacs"):
+        for line in normal_lines(raw.prefix, raw.lines):
+            key, _, value = line.partition(" ")
+            if key.endswith("loc") or key in ("rclass", "rnspace", "cclass", "cnspace", "racs", "cacs", "tacs", "yacs"):
                 continue  # already rendered above
-            value = attr.text if attr.text is not None else " ".join(attr.words)
-            value = _humanise_refs(pdb, value)
-            lines.append(f"    {attr.key:<11} {value}")
+            lines.append(f"    {key:<11} {_humanise_refs(pdb, value)}")
         blocks.append("\n".join(lines))
         blocks.append("")
     return "\n".join(blocks)
@@ -87,10 +87,14 @@ def check_pdb(pdb: PDB) -> list[str]:
     for item in pdb.items():
         raw = item.raw
         schema = ATTRIBUTE_SCHEMAS.get(raw.prefix, {})
-        for attr in raw.attributes:
-            if attr.key not in schema:
-                problems.append(f"{raw.ref}: unknown attribute {attr.key!r}")
-            for word in attr.words:
+        for line in raw.lines:
+            key, _, value = line.partition(" ")
+            grammar = schema.get(key)
+            if grammar is None:
+                problems.append(f"{raw.ref}: unknown attribute {key!r}")
+            if grammar == "text":
+                continue  # verbatim text: a ref-like word in it is no ref
+            for word in value.split():
                 if "#" in word and word.split("#")[0] in ITEM_TYPES:
                     try:
                         ref = ItemRef.parse(word)

@@ -22,6 +22,7 @@ from repro.ductape.items import (
     PdbTemplate,
 )
 from repro.ductape.pdb import PDB
+from repro.pdbfmt.reader import normal_lines
 
 _STYLE = """
 body { font-family: sans-serif; margin: 2em; }
@@ -174,9 +175,9 @@ def _template_page(t: PdbTemplate) -> str:
 
 def _type_page(t) -> str:
     rows = []
-    for attr in t.raw.attributes:
-        value = attr.text if attr.text is not None else " ".join(attr.words)
-        rows.append(f"<tr><td>{html.escape(attr.key)}</td><td>{html.escape(value)}</td></tr>")
+    for line in normal_lines(t.raw.prefix, t.raw.lines):
+        key, _, value = line.partition(" ")
+        rows.append(f"<tr><td>{html.escape(key)}</td><td>{html.escape(value)}</td></tr>")
     body = f"<p class='kind'>{t.kind()}</p><table>{''.join(rows)}</table>"
     return _page(f"Type {t.name()}", body)
 

@@ -3,7 +3,8 @@
 Every query here resolves its cross-references from the raw records on
 each call, the way DUCTAPE did before wrappers memoised them and the PDB
 built one program graph: ``callees``/``call``/``location`` re-read the
-``rcall`` and location words, ``callers_of``/``derived_of`` scan every
+``rcall`` and location words (split by the reader oracle,
+``tests/reader_oracle.py``, not through the item's key index), ``callers_of``/``derived_of`` scan every
 routine or class, and the class walk and Figure 5 print recurse.  Only
 :meth:`PDB.item` (the id index) is shared with the code under test.  It
 lives here as a test oracle only (``tests/test_ductape_graph.py``,
@@ -16,12 +17,19 @@ from typing import Optional
 
 from repro.ductape.items import ACTIVE, INACTIVE, PdbClass, PdbLoc, PdbRoutine, PdbSimpleItem
 from repro.ductape.pdb import PDB
-from repro.pdbfmt.items import Attribute, ItemRef
+from repro.pdbfmt.items import ItemRef
+
+from tests.reader_oracle import attributes_regex
 
 
 def _resolve(item: PdbSimpleItem, word: str):
     ref = ItemRef.parse(word)
     return None if ref is None else item._pdb.item(ref)
+
+
+def _words(item: PdbSimpleItem, key: str) -> list[list[str]]:
+    """The words of each ``key`` line of ``item``, in order."""
+    return [a.words for a in attributes_regex(item.raw) if a.key == key]
 
 
 def _loc(item: PdbSimpleItem, words: list[str]) -> PdbLoc:
@@ -33,22 +41,22 @@ def _loc(item: PdbSimpleItem, words: list[str]) -> PdbLoc:
 class OracleCall:
     """One ``rcall`` record, resolved anew on every accessor call."""
 
-    def __init__(self, owner: PdbRoutine, attr: Attribute):
+    def __init__(self, owner: PdbRoutine, words: list[str]):
         self._owner = owner
-        self._attr = attr
+        self._words = words
 
     def call(self) -> Optional[PdbRoutine]:
-        return _resolve(self._owner, self._attr.words[0])
+        return _resolve(self._owner, self._words[0])
 
     def isVirtual(self) -> bool:
-        return len(self._attr.words) > 1 and self._attr.words[1] == "virt"
+        return len(self._words) > 1 and self._words[1] == "virt"
 
     def location(self) -> PdbLoc:
-        return _loc(self._owner, self._attr.words[2:5])
+        return _loc(self._owner, self._words[2:5])
 
 
 def oracle_callees(r: PdbRoutine) -> list[OracleCall]:
-    return [OracleCall(r, a) for a in r.raw.get_all("rcall")]
+    return [OracleCall(r, words) for words in _words(r, "rcall")]
 
 
 def call_site(call) -> Optional[tuple[str, int]]:
@@ -60,13 +68,15 @@ def call_site(call) -> Optional[tuple[str, int]]:
 
 
 def location(item) -> PdbLoc:
-    a = item.raw.get(item._loc_key)
-    return _loc(item, a.words if a is not None else [])
+    found = _words(item, item._loc_key)
+    return _loc(item, found[0] if found else [])
 
 
 def ref_attr(item, key: str):
-    ref = item.raw.get_ref(key)
-    return None if ref is None else item._pdb.item(ref)
+    found = _words(item, key)
+    if not found or not found[0] or found[0][0] == "NULL":
+        return None
+    return _resolve(item, found[0][0])
 
 
 def signature(r: PdbRoutine):
@@ -79,12 +89,12 @@ def template(item):
 
 def base_classes(c: PdbClass) -> list[tuple[str, bool, PdbClass]]:
     out = []
-    for a in c.raw.get_all("cbase"):
-        if len(a.words) < 3:
+    for words in _words(c, "cbase"):
+        if len(words) < 3:
             continue
-        base = _resolve(c, a.words[2])
+        base = _resolve(c, words[2])
         if base is not None:
-            out.append((a.words[0], a.words[1] == "virt", base))
+            out.append((words[0], words[1] == "virt", base))
     return out
 
 

@@ -6,19 +6,23 @@ each of which re-keys the whole accumulator.  Quadratic, so it lives
 here as a test oracle only (``tests/test_merge_differential.py``,
 ``tests/test_merge_tree.py``, the E19 merge gate).
 
-The oracle keys and copies items through their :class:`Attribute`
-objects (``get_location``, ``get_ref``, ``_copy``), the way the merge
-did before it read attribute lines: a copy is rebuilt attribute by
+The oracle keys and copies items through the reader oracle's eager
+split of their lines (``tests/reader_oracle.py``), not through the
+item's key index or ``normal_lines``: a copy is rebuilt attribute by
 attribute with ``add``/``add_text``, each ref word rewritten on its
-own.  ``_item_key`` and its helpers are
-that merge's key, kept verbatim, so a differential run tests the
+own.  ``_item_key`` and its helpers are the merge's key as it stood
+before the merge read attribute lines, so a differential run tests the
 line-reading key as well.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.ductape.pdb import PDB, MergeStats
-from repro.pdbfmt.items import PdbDocument, RawItem
+from repro.pdbfmt.items import ItemRef, PdbDocument, RawItem
+
+from tests.reader_oracle import attributes_regex
 
 
 def fold(pdbs: list[PDB]) -> tuple[PDB, list[MergeStats]]:
@@ -39,19 +43,20 @@ def pair_merge(doc: PdbDocument, other: PdbDocument) -> MergeStats:
     other_index = other.index()
     self_keys: dict[tuple, RawItem] = {}
     for raw in doc.items:
-        self_keys[_item_key(self_index, raw)] = raw
+        self_keys[_item_key(self_index, raw, _first(raw))] = raw
     remap: dict[str, str] = {}
     counters: dict[str, int] = {}
     for raw in doc.items:
         counters[raw.prefix] = max(counters.get(raw.prefix, 0), raw.id)
     pending: list[tuple] = []
     for raw in other.items:
-        key = _item_key(other_index, raw)
+        attrs = _first(raw)
+        key = _item_key(other_index, raw, attrs)
         existing = self_keys.get(key)
         if existing is not None:
             remap[str(raw.ref)] = str(existing.ref)
             stats.duplicates_eliminated += 1
-            if raw.prefix in ("cl", "ro") and raw.get("ctempl" if raw.prefix == "cl" else "rtempl"):
+            if raw.prefix in ("cl", "ro") and ("ctempl" if raw.prefix == "cl" else "rtempl") in attrs:
                 stats.duplicate_instantiations += 1
             continue
         counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
@@ -70,7 +75,7 @@ def _copy(raw: RawItem, new_id: int, remap: dict) -> RawItem:
     """An independent copy of ``raw`` as item ``new_id``, each value
     word ``w`` of a word-grammar attribute replaced by ``remap.get(w, w)``."""
     item = RawItem(prefix=raw.prefix, id=new_id, name=raw.name)
-    for a in raw.attributes:
+    for a in attributes_regex(raw):
         if a.text is not None:
             item.add_text(a.key, a.text)
         else:
@@ -78,7 +83,28 @@ def _copy(raw: RawItem, new_id: int, remap: dict) -> RawItem:
     return item
 
 
-def _item_key(index: dict, raw: RawItem) -> tuple:
+def _first(raw: RawItem) -> dict:
+    """``key ->`` the first attribute with that key, eagerly split."""
+    attrs: dict = {}
+    for a in attributes_regex(raw):
+        attrs.setdefault(a.key, a)
+    return attrs
+
+
+def _first_word(attrs: dict, key: str) -> Optional[str]:
+    a = attrs.get(key)
+    if a is None:
+        return None
+    words = a.words if a.text is None else a.text.split()
+    return words[0] if words else None
+
+
+def _ref(attrs: dict, key: str) -> Optional[ItemRef]:
+    word = _first_word(attrs, key)
+    return None if word is None or word == "NULL" else ItemRef.parse(word)
+
+
+def _item_key(index: dict, raw: RawItem, attrs: dict) -> tuple:
     """Identity key for merge deduplication.
 
     Two items from separate compilations are "the same entity" when their
@@ -86,26 +112,26 @@ def _item_key(index: dict, raw: RawItem) -> tuple:
     instantiations share the template's definition position, so repeated
     ``Stack<int>`` subtrees collapse (the paper's headline merge feature).
     """
-    loc_key = _loc_key(index, raw)
+    loc_key = _loc_key(index, attrs)
     if raw.prefix == "so":
         return ("so", raw.name)
     if raw.prefix == "ty":
-        return ("ty", raw.name, _parent_name(index, raw, "yclass", "ynspace"))
+        return ("ty", raw.name, _parent_name(index, attrs, "yclass", "ynspace"))
     if raw.prefix == "ma":
         return ("ma", raw.name, loc_key)
     if raw.prefix == "ferr":
         # one record per distinct (file, position, message): re-merging
         # the same failed TU does not duplicate its error list
-        a = raw.get("fmsg")
+        a = attrs.get("fmsg")
         return ("ferr", raw.name, loc_key, a.text if a is not None else "")
     if raw.prefix == "na":
-        return ("na", raw.name, _parent_name(index, raw, "", "nnspace"))
+        return ("na", raw.name, _parent_name(index, attrs, "", "nnspace"))
     if raw.prefix == "te":
-        return ("te", raw.name, loc_key, raw.first_word("tkind"))
+        return ("te", raw.name, loc_key, _first_word(attrs, "tkind"))
     if raw.prefix == "cl":
-        return ("cl", raw.name, _parent_name(index, raw, "cclass", "cnspace"), loc_key)
+        return ("cl", raw.name, _parent_name(index, attrs, "cclass", "cnspace"), loc_key)
     if raw.prefix == "ro":
-        sig = raw.get_ref("rsig")
+        sig = _ref(attrs, "rsig")
         sig_name = ""
         if sig is not None:
             sig_item = index.get(sig)
@@ -113,27 +139,30 @@ def _item_key(index: dict, raw: RawItem) -> tuple:
         return (
             "ro",
             raw.name,
-            _parent_name(index, raw, "rclass", "rnspace"),
+            _parent_name(index, attrs, "rclass", "rnspace"),
             sig_name,
             loc_key,
         )
     return (raw.prefix, raw.name, loc_key)
 
 
-def _loc_key(index: dict, raw: RawItem) -> tuple:
+def _loc_key(index: dict, attrs: dict) -> tuple:
     for key in ("rloc", "cloc", "tloc", "nloc", "maloc", "yloc", "floc"):
-        loc = raw.get_location(key)
-        if loc is not None and loc.file is not None:
-            f = index.get(loc.file)
-            return (f.name if f is not None else "?", loc.line, loc.column)
+        a = attrs.get(key)
+        if a is None or len(a.words) < 3:
+            continue
+        file, line, column = ItemRef.parse(a.words[0]), int(a.words[1]), int(a.words[2])
+        if file is not None:
+            f = index.get(file)
+            return (f.name if f is not None else "?", line, column)
     return ()
 
 
-def _parent_name(index: dict, raw: RawItem, class_key: str, ns_key: str) -> str:
+def _parent_name(index: dict, attrs: dict, class_key: str, ns_key: str) -> str:
     for key in (class_key, ns_key):
         if not key:
             continue
-        ref = raw.get_ref(key)
+        ref = _ref(attrs, key)
         if ref is not None:
             parent = index.get(ref)
             if parent is not None:

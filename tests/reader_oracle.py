@@ -1,8 +1,8 @@
 """The regex PDB reader: the reference the scanner in ``parse_pdb`` is held to.
 
 One header regex and one item regex per line, attributes split eagerly
-into :class:`Attribute` objects and rendered back to lines by the
-oracle's own code, so neither ``materialize_attrs`` nor ``normal_lines``
+into the oracle's own :class:`OracleAttr` records and rendered back to
+lines by its own code, so neither the key index nor ``normal_lines``
 stands behind its answer.  It was the repository's reader before the
 partition/slice scanner, then that scanner's error-reporting fallback;
 it lives here as a test oracle only (``tests/test_reader_differential.py``,
@@ -14,13 +14,23 @@ scanner's digit and whitespace sets mean.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple, Optional
 
-from repro.pdbfmt.items import Attribute, PdbDocument, RawItem
+from repro.pdbfmt.items import PdbDocument, RawItem
 from repro.pdbfmt.reader import PdbParseError
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS
 
 _HEADER_RE = re.compile(r"^<PDB\s+([0-9.]+)>\s*$", re.ASCII)
 _ITEM_RE = re.compile(r"^(ferr|so|ro|cl|ty|te|na|ma)#(\d+)(?:\s+(.*))?$", re.ASCII)
+
+
+class OracleAttr(NamedTuple):
+    """One attribute line split eagerly: a text-grammar value is kept
+    verbatim (``text``, no ``words``), any other is split into words."""
+
+    key: str
+    words: list
+    text: Optional[str] = None
 
 
 def parse_pdb_regex(text: str) -> PdbDocument:
@@ -55,7 +65,7 @@ def parse_pdb_regex(text: str) -> PdbDocument:
     return doc
 
 
-def attributes_regex(item: RawItem) -> tuple[Attribute, ...]:
+def attributes_regex(item: RawItem) -> tuple[OracleAttr, ...]:
     """The attributes of an item :func:`parse_pdb_regex` built."""
     return tuple(_attribute(item.prefix, line) for line in item.lines)
 
@@ -68,14 +78,14 @@ def write_pdb_regex(doc: PdbDocument) -> str:
     return "\n".join(out)
 
 
-def _attribute(prefix: str, line: str) -> Attribute:
+def _attribute(prefix: str, line: str) -> OracleAttr:
     key, _, rest = line.partition(" ")
     if ATTRIBUTE_SCHEMAS.get(prefix, {}).get(key) == "text":
-        return Attribute(key, text=rest)
-    return Attribute(key, words=rest.split())
+        return OracleAttr(key, [], rest)
+    return OracleAttr(key, rest.split())
 
 
-def _render(a: Attribute) -> str:
+def _render(a: OracleAttr) -> str:
     if a.text is not None:
         return f"{a.key} {a.text}".rstrip()
     return " ".join([a.key, *a.words])

@@ -218,6 +218,39 @@ class TestAccessors:
         main = next(f for f in pdb.getFileVec() if f.name() == "main.cpp")
         assert [f.name() for f in main.includes()] == ["h.h"]
 
+    def test_word_readers_split_values(self):
+        """Accessors over word-grammar lines split their value text,
+        tabs and blank runs included."""
+        pdb = PDB.from_text(
+            "<PDB 1.0>\nso#1 a.h\n\n"
+            "na#1 ns\nnloc so#1 1 11\nnalias  na#2 \tshort\n\nna#2 target\n\n"
+            "cl#1 F\ncloc so#1 2 7\n\n"
+            "cl#2 C\ncloc so#1 3 7\ncfriend cl#1\ncfrfunc ro#1\n"
+            "cmem count\ncmloc so#1\t4  9\ncmacs priv\ncmkind  svar\ncmtype ty#2\n"
+            "cpos so#1 3 1 so#1 3 9\tso#1 3 10 so#1 5 1\n\n"
+            "ro#1 f\nrloc so#1 6 5\nrinline yes\nrsig ty#1\n\n"
+            "ty#1 void (int, ...)\nykind func\nyellip yes\nyexcep cl#1\n\n"
+            "ty#2 int\nykind int\nyikind \t int\n\n"
+            "ty#3 E\nykind enum\nyename A  1\nyename B\t-2\n\n"
+            "ferr#1 a.h\nffile so#1\nfkind  lex\n"
+        )
+        ns, target = pdb.getNamespaceVec()
+        assert ns.aliases() == [("short", target)]
+        f, c = pdb.getClassVec()
+        assert c.friendClasses() == [f]
+        assert c.friendRoutines() == [pdb.findRoutine("f")]
+        assert (c.headerEnd().line(), c.headerEnd().col()) == (3, 9)
+        (m,) = c.dataMembers()
+        assert (m.name(), m.access(), m.kind(), m.type().name()) == ("count", "priv", "svar", "int")
+        assert str(m.location()) == "a.h:4:9"
+        assert pdb.findRoutine("f").isInline()
+        sig, int_t, enum_t = pdb.getTypeVec()
+        assert sig.hasEllipsis() and sig.exceptionTypes() == [f]
+        assert int_t.integerKind() == "int"
+        assert enum_t.enumerators() == [("A", 1), ("B", -2)]
+        (err,) = pdb.getErrorVec()
+        assert err.file() is pdb.getFileVec()[0] and err.kind() == "lex"
+
     def test_flag(self):
         pdb = pdb_for("int f();")
         f = pdb.findRoutine("f")

@@ -252,8 +252,8 @@ def test_duplicate_base_counts_one_derived_class():
         "class Sub : public Base { };\nint main( ) { return 0; }"
     )))
     (sub,) = [raw for raw in pdb.doc.items if raw.prefix == "cl" and raw.name == "Sub"]
-    (line,) = sub.get_all("cbase")
-    sub.add("cbase", *line.words)
+    (value,) = sub.get_all("cbase")
+    sub.add("cbase", value)
     pdb = PDB(pdb.doc)
     base = pdb.findClass("Base")
     assert len(pdb.findClass("Sub").baseClasses()) == 2

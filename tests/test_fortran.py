@@ -254,7 +254,7 @@ class TestUniformPdb:
 
     def test_ralias_emitted(self, pdb):
         r = pdb.findRoutine("heat_mod::residual_scalar")
-        assert r.raw.get("ralias").words == ["residual"]
+        assert r.raw.get("ralias").split() == ["residual"]
 
     def test_rexit_emitted(self, pdb):
         r = pdb.findRoutine("heat_mod::check_convergence")

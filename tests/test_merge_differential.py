@@ -9,10 +9,11 @@ input (some of which resolve once the merge has grown), unknown
 attribute keys, repeated and short location lines, and ``fmsg`` texts
 whose words look like refs.  Every entry point must give the fold's
 bytes and per-input :class:`MergeStats`, and leave its inputs
-unmodified.  The fold keys items through their attribute objects; the
-merge reads their stored lines, so the inputs are also drawn with
-irregular blanks in their attribute lines and with a random subset of
-their items materialised before the merge.
+unmodified.  The fold keys items through the reader oracle's eager
+split of their lines; the merge reads the lines through a key index, so
+the inputs are also drawn with irregular blanks in their attribute
+lines and with a random subset of their items queried (their key index
+built) before the merge.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.pdbfmt.reader as reader
 from repro.ductape.pdb import PDB, MergeStats
 from repro.pdbfmt.items import PdbDocument, RawItem
 from repro.pdbfmt.reader import parse_pdb
@@ -132,7 +132,7 @@ def _same_as_fold(docs: list[PdbDocument]) -> None:
 
 def _texts_same_as_fold(texts: list[str], touch=lambda doc: None) -> None:
     """Every entry point merges ``texts`` as the fold does; ``touch``
-    may materialise items of an input before the merge."""
+    may query items of an input before the merge."""
 
     def parsed() -> list[PDB]:
         return [PDB(parse_pdb(t)) for t in texts]
@@ -197,8 +197,8 @@ def _roughen(text: str, rnd: random.Random) -> str:
 @given(corpora, st.booleans(), st.sampled_from((0.0, 0.5)), st.randoms(use_true_random=False))
 def test_irregular_or_touched_inputs_match_fold(docs, rough, share, rnd):
     """Stored lines with tabs and blank runs, and items an earlier
-    reader materialised (a ``share`` of them), key, merge and write as
-    the fold's attribute objects do."""
+    reader queried (a ``share`` of them), key, merge and write as the
+    fold's eager split does."""
     texts = [write_pdb(d) for d in docs]
     if rough:
         texts = [_roughen(t, rnd) for t in texts]
@@ -206,7 +206,7 @@ def test_irregular_or_touched_inputs_match_fold(docs, rough, share, rnd):
     def touch(doc: PdbDocument) -> None:
         for item in doc.items:
             if rnd.random() < share:
-                item.attributes  # materialise
+                item.get("rloc")  # builds the item's key index
 
     _texts_same_as_fold(texts, touch=touch)
 
@@ -234,25 +234,20 @@ def test_non_canonical_ref_is_rejected_not_misrouted():
         merge_pdb_texts_tree([first, second])
 
 
-def test_merge_and_write_materialise_nothing(monkeypatch):
-    """A multi-TU build's merge and write read only stored lines."""
+def test_merge_and_write_materialise_nothing():
+    """A multi-TU build's merge and write build no key index on any item
+    they emit, the first input's items included; a first query on a
+    merged item does build one."""
     corpus = generate(SynthSpec(n_translation_units=3, n_templates=2))
     texts = [build([f], files=corpus.files)[0].to_text() for f in corpus.main_files]
     want = build(corpus.main_files, files=corpus.files)[0].to_text()
-    calls = []
-    real = reader.materialize_attrs
-
-    def counting(prefix, lines):
-        calls.append(prefix)
-        return real(prefix, lines)
-
-    monkeypatch.setattr(reader, "materialize_attrs", counting)
     merged, stats, _ = merge_pdb_texts_tree(texts)
     assert write_pdb(merged.doc) == want
     assert stats.duplicates_eliminated > 0
-    assert calls == []
-    merged.doc.items[-1].attributes  # the counter does see a first touch
-    assert calls == [merged.doc.items[-1].prefix]
+    assert [item for item in merged.doc.items if item._index is not None] == []
+    last = merged.doc.items[-1]
+    assert last.get("no such key") is None  # a first query...
+    assert last._index is not None  # ...builds the index
 
 
 def test_empty_and_single_input():
@@ -290,7 +285,7 @@ def test_first_input_duplicates_kept_later_ones_collapse():
     _same_as_fold([first, second])
     merged, stats = merge_pdbs([PDB(first), PDB(second)])
     assert [r.name for r in merged.doc.by_prefix("ro")] == ["f", "f", "g", "h"]
-    assert merged.doc.items[-1].get("rcall").words[0] == "ro#2"
+    assert merged.doc.items[-1].get("rcall").split()[0] == "ro#2"
     assert stats[0].duplicates_eliminated == 3
 
 

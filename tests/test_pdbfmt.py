@@ -11,7 +11,6 @@ from repro.pdbfmt import (
     parse_pdb,
     write_pdb,
 )
-from repro.pdbfmt.items import Attribute
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS, ITEM_TYPES
 
 
@@ -119,7 +118,7 @@ class TestReader:
     def test_unknown_attribute_preserved(self):
         text = "<PDB 1.0>\n\nro#1 f\nrfancy a b c\n"
         doc = parse_pdb(text)
-        assert doc.items[0].get("rfancy").words == ["a", "b", "c"]
+        assert doc.items[0].get("rfancy") == "a b c"
 
     def test_blank_lines_optional(self):
         text = "<PDB 1.0>\nso#1 a.cpp\nso#2 b.cpp\n"
@@ -146,22 +145,25 @@ class TestReader:
 
 
 class TestLazyAttributes:
-    """The fast reader defers attribute materialisation per item."""
+    """An item reads its stored lines through a key index built on the
+    first query."""
 
     def test_parse_defers_materialisation(self):
         doc = parse_pdb(write_pdb(sample_doc()))
         ro = doc.find(ItemRef("ro", 1))
         lines = list(ro.lines)
-        assert ro._attrs is None and lines
-        attrs = ro.attributes  # first touch materialises...
-        assert ro._attrs is attrs and ro.lines == lines  # ...a view: the lines stay
-        assert ro.attributes is attrs  # ...exactly once
+        assert ro._index is None and lines
+        assert ro.get("racs") == "NA"  # the first query builds the index...
+        index = ro._index
+        assert index is not None and ro.lines == lines  # ...over the lines, which stay
+        assert ro.get_all("rcall") == ["ro#2 no so#1 4 9"]
+        assert ro._index is index  # ...exactly once
 
     def test_mutation_after_parse_sticks(self):
         doc = parse_pdb(write_pdb(sample_doc()))
         ro = doc.find(ItemRef("ro", 2))
         ro.add("racs", "PUB")
-        assert ro.get("racs").words == ["PUB"]
+        assert ro.get("racs") == "PUB"
         assert "racs PUB" in write_pdb(doc)
 
     def test_lazy_and_eager_items_compare_equal(self):
@@ -176,11 +178,11 @@ class TestLazyAttributes:
             text = text.replace("rloc so#1", "rloc  so#1\t").replace(" 1 ", " \t1  ")
             text += "ferr#1 t.cpp:1: so#1 broken\nfloc \tso#1  3 1 \nfmsg  so#1\tbroken\n"
         lazy = parse_pdb(text)
-        assert all(item._attrs is None for item in lazy.items)
+        assert all(item._index is None for item in lazy.items)
         written = write_pdb(lazy)
-        assert all(item._attrs is None for item in lazy.items)
+        assert all(item._index is None for item in lazy.items)
         for item in lazy.items:
-            item.attributes  # materialise
+            item.get("rloc")  # builds the key index
         assert written == write_pdb(lazy)
         assert ("fmsg  so#1\tbroken" in written) is irregular
         assert "\t" not in written.replace("fmsg  so#1\tbroken", "")
@@ -190,25 +192,27 @@ class TestLazyAttributes:
         item.add("rloc", "so#1", 1, 1)
         item.add_text("rsig", "")
         assert item.lines == ["rloc so#1 1 1", "rsig"]
-        assert item._attrs is None  # built like a parsed item: no view yet
-        assert len(item.attributes) == 2
+        assert item._index is None  # built like a parsed item: no index yet
+        assert item.get_all("rloc") == ["so#1 1 1"] and item.get("rsig") == ""
 
     def test_attributes_are_read_only(self):
+        """A query hands out strings and fresh lists: changing what it
+        returned changes neither the index nor the item."""
         item = parse_pdb(write_pdb(sample_doc())).find(ItemRef("ro", 1))
-        with pytest.raises(AttributeError):
-            item.attributes.append(Attribute("racs", ["PUB"]))
-        with pytest.raises(AttributeError):
-            item.get("rloc").words = ["so#2", "1", "1"]
-        with pytest.raises(AttributeError):
-            item.attributes = ()
+        lines = list(item.lines)
+        item.get_all("rcall").append("ro#1 no so#1 1 1")
+        item.get_all("racs").clear()
+        assert item.get_all("rcall") == ["ro#2 no so#1 4 9"]
+        assert item.get("racs") == "NA"
+        assert item.lines == lines
 
     def test_add_after_query_is_seen(self):
         item = parse_pdb(write_pdb(sample_doc())).find(ItemRef("ro", 2))
-        assert item.get("racs") is None and item.get_all("rcall") == []  # the view is built
+        assert item.get("racs") is None and item.get_all("rcall") == []  # the index is built
         item.add("racs", "PUB")
         item.add("rcall", "ro#1", "no", "so#2", 9, 9)
-        assert item.get("racs").words == ["PUB"]
-        assert [a.words for a in item.get_all("rcall")] == [["ro#1", "no", "so#2", "9", "9"]]
+        assert item.get("racs") == "PUB"
+        assert item.get_all("rcall") == ["ro#1 no so#2 9 9"]
         assert item.lines[-2:] == ["racs PUB", "rcall ro#1 no so#2 9 9"]
         doc = PdbDocument(items=[item])
         assert write_pdb(doc).endswith("racs PUB\nrcall ro#1 no so#2 9 9\n")
@@ -220,8 +224,8 @@ class TestLazyAttributes:
         item.add("rcall", "ro#2\tno", "so#1  5 6")
         item.add_text("rsig", "int (int)")
         twin = parse_pdb(write_pdb(doc)).items[0]
-        assert item.get("rloc").words == ["so#1", "3", "4"] == twin.get("rloc").words
-        assert item.get("rcall").words == twin.get("rcall").words
+        assert item.get("rloc").split() == ["so#1", "3", "4"] == twin.get("rloc").split()
+        assert item.get("rcall").split() == twin.get("rcall").split()
         assert item == twin
         assert write_pdb(doc) == write_pdb(PdbDocument(items=[twin]))
 

@@ -90,3 +90,12 @@ def test_entry_points_resolve():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr)), f"{name} -> {target} not callable"
+
+
+def test_uncalled_allowlist_names_existing_functions():
+    """Every entry of the uncalled-function allow-list
+    (``tests/uncalled_allowlist.txt``) names a function defined under
+    ``src/``, so an entry cannot outlive the function it excuses."""
+    from tests.uncalled import defined_functions, read_allowlist
+
+    assert read_allowlist() - set(defined_functions().values()) == set()

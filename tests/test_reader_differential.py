@@ -16,7 +16,9 @@ import pytest
 from repro.analyzer import analyze
 from repro.cpp.frontend import Frontend, FrontendOptions
 from repro.ductape.pdb import PDB
+from repro.pdbfmt.items import RawItem
 from repro.pdbfmt.reader import PdbParseError, parse_pdb
+from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS
 from repro.pdbfmt.writer import write_pdb
 from repro.tools.pdbmerge import merge_pdbs
 from repro.workloads.synth import SynthSpec, generate
@@ -62,8 +64,8 @@ def e12_text() -> str:
 def _outcome(text: str):
     """Parse with both readers, normalising each to ('ok', rendered) /
     ('err', (message, line number)).  Each side renders with its own
-    code, and the scanner's attribute views must equal the oracle's
-    eager split."""
+    code, and every item's key index must give the oracle's eager
+    split (:func:`_values`)."""
     try:
         oracle_doc = parse_pdb_regex(text)
         oracle = ("ok", write_pdb_regex(oracle_doc))
@@ -75,10 +77,25 @@ def _outcome(text: str):
     except PdbParseError as e:
         return ("err", (str(e), e.line_no)), oracle
     if oracle[0] == "ok":
-        assert [i.attributes for i in doc.items] == [
-            attributes_regex(i) for i in oracle_doc.items
-        ]
+        for item, oracle_item in zip(doc.items, oracle_doc.items, strict=True):
+            got, want = _values(item, oracle_item)
+            assert got == want, item
     return fast, oracle
+
+
+def _values(item: RawItem, oracle_item: RawItem) -> tuple[dict, dict]:
+    """``key -> values`` two ways: the item's ``get_all(key)``, each
+    value split for a word-grammar key, and the oracle's eager split of
+    its twin, grouped by key."""
+    want: dict = {}
+    for a in attributes_regex(oracle_item):
+        want.setdefault(a.key, []).append(a.words if a.text is None else a.text)
+    schema = ATTRIBUTE_SCHEMAS.get(item.prefix, {})
+    got = {
+        key: [v if schema.get(key) == "text" else v.split() for v in item.get_all(key)]
+        for key in want
+    }
+    return got, want
 
 
 def _mutate(lines: list[str], rng: random.Random) -> list[str]:
@@ -164,10 +181,10 @@ def test_angle_bracket_attribute_line_stays_lazy():
     text = "<PDB 1.0>\nso#1 a\n<weird x y\n"
     doc = parse_pdb(text)
     assert doc.items[0].lines == ["<weird x y"]
-    assert doc.items[0]._attrs is None  # not yet materialised
+    assert doc.items[0]._index is None  # not yet queried
     fast, oracle = _outcome(text)
     assert fast == oracle and fast[0] == "ok"
-    assert doc.items[0].attributes[0].key == "<weird"
+    assert doc.items[0].get("<weird") == "x y"
 
 
 @pytest.mark.parametrize("line", ["ro#01 f", "ro#00", "ferr#007 x.cpp:1: e"])

@@ -8,11 +8,12 @@ import pytest
 from repro.analyzer import analyze
 from repro.ductape.pdb import PDB
 from repro.tools.pdbconv import check_pdb, convert_pdb
-from repro.tools.pdbhtml import generate_html
+from repro.tools.pdbhtml import _error_line, _type_page, generate_html
 from repro.tools.pdbtree import (
     print_func_tree,
     render_call_tree,
     render_class_tree,
+    render_diagnostics,
     render_inclusion_tree,
 )
 from repro.workloads.stack import compile_stack, stack_files
@@ -22,6 +23,14 @@ from tests.util import compile_source
 @pytest.fixture(scope="module")
 def stack_pdb() -> PDB:
     return PDB(analyze(compile_stack()))
+
+
+#: one ``ferr`` record whose message holds a blank run, a tab, a quote
+#: and a word that looks like a ref: the views print it as stored
+FERR_PDB = (
+    "<PDB 1.0>\nso#1 bad.cpp\n\nferr#1 bad.cpp\nffile so#1\nfloc so#1 2 13\n"
+    "fsev error\nfkind parse\nfmsg expected  type,\tfound '{' near so#1\n"
+)
 
 
 class TestPdbConv:
@@ -49,6 +58,29 @@ class TestPdbConv:
         pdb = PDB.from_text("<PDB 1.0>\nso#1 a.h\n\nro#1 f\nrloc so#01 3 1\n")
         assert check_pdb(pdb) == ["ro#1: malformed reference so#01"]
 
+    def test_check_skips_ref_like_words_in_text(self):
+        """``fmsg``, ``ttext`` and ``matext`` values are verbatim text:
+        a word in them that looks like a ref is not checked, while the
+        same word on a word-grammar line is."""
+        pdb = PDB.from_text(
+            "<PDB 1.0>\nso#1 a.h\nsinc so#9\n\n"
+            "ferr#1 a.h\nffile so#1\nfmsg so#9 is broken near ro#01\n\n"
+            "te#1 T\nttext template <class so#7> struct T;\n\n"
+            "ma#1 M\nmatext #define M cl#99\n"
+        )
+        assert check_pdb(pdb) == ["so#1: dangling reference so#9"]
+
+    def test_view_single_spaces_words_and_keeps_text(self):
+        """A word line's tabs and blank runs print as single spaces; a
+        text line prints verbatim."""
+        pdb = PDB.from_text(
+            "<PDB 1.0>\nso#1 a.h\n\n"
+            "ma#1 M\nmaloc so#1 1 9\nmakind \tdef  \t x\nmatext #define  M\t1\n"
+        )
+        text = convert_pdb(pdb)
+        assert "\n    makind      def x\n" in text
+        assert "\n    matext      #define  M\t1\n" in text
+
     def test_check_detects_unknown_attribute(self):
         pdb = PDB.from_text("<PDB 1.0>\nro#1 f\nrbogus x\n")
         assert any("unknown attribute" in p for p in check_pdb(pdb))
@@ -71,6 +103,12 @@ class TestPdbConv:
 
 
 class TestPdbTree:
+    def test_diagnostics_print_the_message_as_stored(self):
+        assert render_diagnostics(PDB.from_text(FERR_PDB)) == (
+            "bad.cpp: 1 error(s)\n"
+            "    bad.cpp:2:13: error: expected  type,\tfound '{' near so#1"
+        )
+
     def test_figure5_call_tree_shape(self, stack_pdb):
         """The pdbtree output format of paper Figure 5."""
         out = render_call_tree(stack_pdb, "main")
@@ -196,6 +234,19 @@ class TestDepthLadder:
 
 
 class TestPdbHtml:
+    def test_type_page_single_spaces_words(self):
+        (ty,) = PDB.from_text("<PDB 1.0>\nty#1 int\nykind \tint\nyikind  int  x\n").getTypeVec()
+        page = _type_page(ty)
+        assert "<tr><td>ykind</td><td>int</td></tr>" in page
+        assert "<tr><td>yikind</td><td>int x</td></tr>" in page
+
+    def test_error_line_prints_the_message_as_stored(self):
+        (err,) = PDB.from_text(FERR_PDB).getErrorVec()
+        assert _error_line(err) == (
+            '<a href="so_1.html#L2">bad.cpp:2:13</a>: '
+            "error: expected  type,\tfound &#x27;{&#x27; near so#1"
+        )
+
     def test_generates_pages(self, stack_pdb, tmp_path):
         written = generate_html(stack_pdb, str(tmp_path))
         assert "index.html" in written
